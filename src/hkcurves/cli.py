@@ -4,8 +4,8 @@ Subcommands: compute (raw HK samples), classify (trichotomy report),
 family (predicted-vs-measured sweeps), smoothcheck.  Exit codes: 0 for
 success including Ambiguous classifications, 2 for input errors, 3 for
 resource limits, 4 for verification failures (oracle mismatch or a family
-sweep disagreement).  Thread budget comes from --threads or HK_THREADS,
-defaulting to the machine's parallelism.
+sweep disagreement).  --threads and HK_THREADS are accepted and have no
+effect: the engine runs in one thread.
 """
 
 from __future__ import annotations
@@ -45,14 +45,14 @@ EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 
 
-def _default_threads() -> int:
+def _check_threads(args: argparse.Namespace) -> None:
+    """HK_THREADS has no effect, but a malformed one is still an input error."""
     env = os.environ.get("HK_THREADS")
-    if env:
+    if env and not args.threads:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError:
             raise FieldError(f"HK_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
 
 
 def _write(path: str | None, text: str) -> None:
@@ -66,15 +66,14 @@ def _write(path: str | None, text: str) -> None:
 def _add_common(sub: argparse.ArgumentParser, poly_required: bool = True) -> None:
     sub.add_argument("--field", required=True, help='field spec, e.g. "GF(2)" or "GF(2^2; modulus=1,1,1)"')
     sub.add_argument("--poly", required=poly_required, help="homogeneous polynomial in x, y, z")
-    sub.add_argument("--threads", type=int, default=None, help="thread budget (default: HK_THREADS or CPU count)")
+    sub.add_argument("--threads", type=int, default=None, help="accepted for compatibility; no effect")
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
     spec = parse_field(args.field)
     f = parse_poly(args.poly, spec)
     cache = SampleCache(args.cache) if args.cache else None
-    threads = args.threads if args.threads else _default_threads()
-    samples = hk_sequence(f, args.nmax, cache=cache, threads=threads, max_q=args.max_q)
+    samples = hk_sequence(f, args.nmax, cache=cache, max_q=args.max_q)
     if args.oracle:
         cutoff = oracle_cutoff(spec.p)
         for s in samples:
@@ -119,9 +118,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     f = parse_poly(args.poly, spec)
     curve = PlaneCurve(f, irreducible_asserted=not args.not_irreducible)
     cache = SampleCache(args.cache) if args.cache else None
-    threads = args.threads if args.threads else _default_threads()
     smooth = _resolve_smooth(args.smooth, curve)
-    samples = hk_sequence(curve, args.nmax, cache=cache, threads=threads, max_q=args.max_q)
+    samples = hk_sequence(curve, args.nmax, cache=cache, max_q=args.max_q)
     report = snap_classify(
         samples, curve.d, spec.p, smooth=smooth, K=args.slack, curve_name=str(f)
     )
@@ -163,18 +161,17 @@ def _print_summary(report, smooth) -> None:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
-    threads = args.threads if args.threads else _default_threads()
     if args.name == "monsky2":
-        rows = sweep_monsky2(args.k, args.nmax, threads=threads)
+        rows = sweep_monsky2(args.k, args.nmax)
     elif args.name == "monsky3":
-        rows = sweep_monsky3(args.k, args.nmax, threads=threads)
+        rows = sweep_monsky3(args.k, args.nmax)
     elif args.name == "singular":
         if args.d is None or args.r is None:
             raise FamilyError("singular family needs --d and --r")
         spec = parse_field(args.field) if args.field else None
         if spec is None:
             raise FamilyError("singular family needs --field")
-        rows = sweep_singular(args.d, args.r, spec, args.nmax, threads=threads)
+        rows = sweep_singular(args.d, args.r, spec, args.nmax)
     else:
         raise FamilyError(f"unknown family {args.name!r}")
     _write(args.out_csv, sweep_to_csv(rows))
@@ -240,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--r", type=int, default=None, help="point multiplicity (singular family)")
     p_family.add_argument("--field", default=None, help="coefficient field (singular family)")
     p_family.add_argument("--out-csv", default=None)
-    p_family.add_argument("--threads", type=int, default=None)
+    p_family.add_argument("--threads", type=int, default=None, help="accepted for compatibility; no effect")
     p_family.set_defaults(func=cmd_family)
 
     p_smooth = subs.add_parser("smoothcheck", help="Jacobian-ideal smoothness certificate")
@@ -258,6 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad input, matching our input-error code
         return int(exc.code or 0)
     try:
+        _check_threads(args)
         return args.func(args)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")

@@ -3,30 +3,34 @@
 Computes HK(q) = len(S/(f, x^q, y^q, z^q)) for S = GF(p^k)[x, y, z] and
 q = p^n.  The quotient splits along the grading: writing T(j) for the
 number of degree-j monomials with all exponents < q, the degree-j piece
-has dimension T(j) - rank(B_{j-d}) where B_n is the multiplication-by-f
-map from the truncated degree-n piece to the truncated degree-(n+d)
-piece.  Summing over j and using sum_j T(j) = q^3 recovers
-HK(q) = q^3 - sum_n rank(B_n).
+has dimension T(j) - rank(B_{j-d}), B_n being multiplication by f from the
+truncated degree-n piece to the truncated degree-(n+d) piece.  `colength`
+sums the pieces, in closed form below q (B_n is injective there) and up
+to the first zero piece (the quotient is generated in degree 1).
 
-Two exact structural facts keep the work proportional to the interesting
-transition zone instead of the whole q^3 space:
+Large blocks are ranked from syzygy degrees.  For f monic in z, S/(f) is
+free over A = k[x, y] on 1, z, ..., z^(d-1), and the quotient is the
+cokernel of [x^q I | y^q I | M_q] : A^(3d) -> A^d, column j of M_q being
+z^(q+j) mod f.  The kernel Syz(x^q, y^q, z^q) is free on 2d generators of
+degrees b, so with C(m) = max(m+1, 0) = dim A_m the degree-j piece has
+dimension
 
-* low degrees (j < q): no monomial of f*m can overflow the q-box, so the
-  block is the untruncated multiplication map and is injective --
-  rank(B_n) = T(n) with no elimination;
-* once some degree-j piece of the quotient vanishes, every higher piece
-  vanishes too (the quotient is generated in degree 1 over the field), so
-  the degree loop stops at the first zero cokernel.
+    H(j) = sum_{i<d} C(j-i) - 3 sum_{i<d} C(j-q-i) + sum_b C(j-b)
 
-Within the zone, block ranks use a staircase decomposition: domain
-monomials m whose whole translate m + supp(f) stays inside the q-box give
-exact product columns f*m with pairwise distinct lex-leading monomials --
-an upper-staircase family that is independent for free.  Only the O(d*q)
-boundary columns are reduced against that staircase (a normal-form table
-filled in one ascending-lex sweep), and a small residual matrix is
-eliminated by the dense kernels.  A plain dense block path is kept for
-small sizes and for differential tests, and `colength_naive` provides the
-grading-free oracle: one rank of the full q^3 x q^3 multiplication matrix.
+and HK(q) = (sum j^2 - 3 sum (q+j)^2 + sum b^2) / 2.  With y = 1 the b are
+the shifted degrees of a reduced approximant basis of
+{(c, r) : M_q c = r mod x^q}, shift q+j on c_j and q+i on r_i
+(`linalg.order_basis_degrees`).  GF(p^k) runs the same GF(p)[x] path by
+restriction of scalars, which repeats every degree k times.  A form not
+monic in z is first permuted, else sheared to move a rational point off
+the curve to [0:0:1], else moved to GF(p^(2k)): linear changes of
+coordinates keep (x^q, y^q, z^q), the Frobenius power of the maximal
+ideal, and field extension keeps dimensions.
+
+Blocks of at most DENSE_CELL_LIMIT cells are eliminated densely: that is
+the per-block reference of the tests, and on small blocks it is cheaper
+than the coordinate change.  `colength_naive` is the grading-free oracle:
+one rank of the full q^3 x q^3 multiplication matrix.
 """
 
 from __future__ import annotations
@@ -35,14 +39,15 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .gf import FieldSpec
-from .linalg import FpkMatrix, index_tables, rank_gf2, rank_modp
+from .gf import FieldSpec, embed
+from .linalg import FpkMatrix, mul_matrix, order_basis_degrees
 from .poly import HomogeneousPoly, Monomial, PlaneCurve, Poly, partial
 
 log = logging.getLogger(__name__)
@@ -116,10 +121,6 @@ def truncated_count(n: int, q: int) -> int:
     return max(total, 0)
 
 
-def _sorted_terms(f: HomogeneousPoly):
-    return sorted(f.terms.items(), key=lambda kv: kv[0], reverse=True)
-
-
 def graded_block(f: HomogeneousPoly, n: int, q: int) -> GradedBlock:
     """Materialize block n as an explicit |codomain| x |domain| matrix."""
     dom = truncated_basis(n, q)
@@ -135,7 +136,12 @@ def graded_block(f: HomogeneousPoly, n: int, q: int) -> GradedBlock:
 
 
 def block_rank(f: HomogeneousPoly, n: int, q: int, method: str = "auto") -> int:
-    """Rank of the degree-n graded block; `method` in {auto, dense, staircase}."""
+    """Rank of the degree-n graded block; `method` in {auto, dense, staircase}.
+
+    `dense` eliminates the block; `staircase` reads the rank off the syzygy
+    degrees of (x^q, y^q, z^q); `auto` takes `dense` up to DENSE_CELL_LIMIT
+    cells.
+    """
     n_dom = truncated_count(n, q)
     n_cod = truncated_count(n + f.d, q)
     if n_dom == 0 or n_cod == 0:
@@ -144,126 +150,110 @@ def block_rank(f: HomogeneousPoly, n: int, q: int, method: str = "auto") -> int:
         return graded_block(f, n, q).matrix.rank()
     if method not in ("auto", "staircase"):
         raise ValueError(f"unknown block rank method {method!r}")
-    return _block_rank_staircase(f, n, q)
+    return n_cod - _syzygy_hilbert(f, q, n + f.d)
 
 
-def _block_rank_staircase(f: HomogeneousPoly, n: int, q: int) -> int:
-    """Staircase-pivot rank of block n.
+def _substitute(f: HomogeneousPoly, images: tuple[Poly, Poly, Poly]) -> HomogeneousPoly:
+    """f(images[0], images[1], images[2]) for linear forms `images`."""
+    powers = []
+    for image in images:
+        row = [Poly.constant(f.spec, 1)]
+        for _ in range(f.d):
+            row.append(row[-1] * image)
+        powers.append(row)
+    out = Poly.zero(f.spec)
+    for (a, b, c), coeff in f.terms.items():
+        out = out + powers[0][a] * powers[1][b] * powers[2][c] * coeff
+    return HomogeneousPoly.from_poly(out)
 
-    Exact-product columns (domain monomials whose full f-translate avoids
-    truncation) are independent with known distinct leads; every other
-    column is rewritten to a normal form supported off the staircase, and
-    the surviving small matrix is eliminated densely.
-    """
+
+def _coordinate_changes(f: HomogeneousPoly):
+    """Linear substitutions to try, ending with the first shear that works."""
     spec = f.spec
-    p = spec.p
-    dom = truncated_basis(n, q)
-    cod = truncated_basis(n + f.d, q)
-    terms = _sorted_terms(f)
-    lt = terms[0][0]
-    box = tuple(q - max(t[i] for t, _ in terms) for i in range(3))
-
-    hard = [m for m in dom if not (m[0] < box[0] and m[1] < box[1] and m[2] < box[2])]
-    n_c0 = len(dom) - len(hard)
-    if not hard:
-        return n_c0
-
-    row_of = {mu: i for i, mu in enumerate(cod)}
-    # remainder coordinates: codomain monomials that are not staircase leads
-    def _lead_of_exact(mu: Monomial) -> bool:
-        a, b, c = mu[0] - lt[0], mu[1] - lt[1], mu[2] - lt[2]
-        return a >= 0 and b >= 0 and c >= 0 and a < box[0] and b < box[1] and c < box[2]
-
-    rem_col: dict[Monomial, int] = {}
-    for mu in cod:
-        if not _lead_of_exact(mu):
-            rem_col[mu] = len(rem_col)
-    width = len(rem_col)
-
-    if spec.k == 1:
-        nf = _nf_table_prime(cod, row_of, rem_col, terms, box, p)
-        residual = np.zeros((width, len(hard)), dtype=np.int64)
-        acc = np.empty(width, dtype=np.int64)
-        tmp = np.empty(width, dtype=np.int64)
-        for col, h in enumerate(hard):
-            acc[:] = 0
-            for t, coeff in terms:
-                mu = (h[0] + t[0], h[1] + t[1], h[2] + t[2])
-                if mu[0] < q and mu[1] < q and mu[2] < q:
-                    np.multiply(nf[row_of[mu]], int(coeff.index()), out=tmp, dtype=np.int64)
-                    acc += tmp
-            residual[:, col] = acc % p
-        if p == 2:
-            res_rank = rank_gf2(residual != 0)
-        else:
-            res_rank = rank_modp(residual, p)
-    else:
-        add_t, mul_t = index_tables(spec)
-        nf = _nf_table_ext(cod, row_of, rem_col, terms, box, spec, add_t, mul_t)
-        residual = np.zeros((width, len(hard)), dtype=nf.dtype)
-        for col, h in enumerate(hard):
-            acc = np.zeros(width, dtype=nf.dtype)
-            for t, coeff in terms:
-                mu = (h[0] + t[0], h[1] + t[1], h[2] + t[2])
-                if mu[0] < q and mu[1] < q and mu[2] < q:
-                    acc = add_t[acc, mul_t[coeff.index()][nf[row_of[mu]]]]
-            residual[:, col] = acc
-        res_rank = FpkMatrix(spec, residual).rank()
-    return n_c0 + res_rank
+    x, y, z = (Poly.variable(spec, v) for v in ("x", "y", "z"))
+    yield from ((x, y, z), (z, y, x), (x, z, y))
+    for a in spec.elements():
+        for b in spec.elements():
+            if f.evaluate((a, b, 1)):  # the z^d coefficient after the shear
+                yield (x + z * a, y + z * b, z)
+                return
 
 
-def _nf_table_prime(cod, row_of, rem_col, terms, box, p):
-    """Normal forms of all codomain monomials w.r.t. the staircase, GF(p)."""
-    lt, c_lt = terms[0]
-    rest = terms[1:]
-    scale = (-pow(int(c_lt.index()), p - 2, p)) % p
-    nf = np.zeros((len(cod), len(rem_col)), dtype=np.uint8)
-    width = len(rem_col)
-    acc = np.empty(width, dtype=np.int64)
-    tmp = np.empty(width, dtype=np.int64)
-    for i, mu in enumerate(cod):  # ascending lex: all rewrites point backwards
-        a, b, c = mu[0] - lt[0], mu[1] - lt[1], mu[2] - lt[2]
-        if a >= 0 and b >= 0 and c >= 0 and a < box[0] and b < box[1] and c < box[2]:
-            if p == 2:
-                row = nf[i]
-                for t, _ in rest:
-                    row ^= nf[row_of[(a + t[0], b + t[1], c + t[2])]]
-            else:
-                acc[:] = 0
-                for t, coeff in rest:
-                    np.multiply(
-                        nf[row_of[(a + t[0], b + t[1], c + t[2])]],
-                        int(coeff.index()),
-                        out=tmp,
-                        dtype=np.int64,
-                    )
-                    acc += tmp
-                acc *= scale
-                nf[i] = acc % p
-        else:
-            nf[i, rem_col[mu]] = 1
-    return nf
+@lru_cache(maxsize=1)
+def _monic_in_z(f: HomogeneousPoly) -> HomogeneousPoly:
+    """A form with z^d coefficient 1 and the Hilbert function of f.
+
+    Tries the permutations that bring x^d or y^d to z^d, then a shear
+    x -> x + a*z, y -> y + b*z for a point [a:b:1] off the curve, then the
+    same search over GF(p^(2k)).
+    """
+    for images in _coordinate_changes(f):
+        g = _substitute(f, images)
+        lead = g.coefficient((0, 0, f.d))
+        if lead:
+            return HomogeneousPoly.from_poly(g * lead.inverse())
+    big = FieldSpec(f.spec.p, 2 * f.spec.k)
+    return _monic_in_z(HomogeneousPoly(big, {m: embed(c, big) for m, c in f.terms.items()}))
 
 
-def _nf_table_ext(cod, row_of, rem_col, terms, box, spec, add_t, mul_t):
-    """Normal-form table over GF(p^k), k >= 2, via index-arithmetic tables."""
-    lt, c_lt = terms[0]
-    rest = terms[1:]
-    scale_idx = (-(c_lt.inverse())).index()
-    scale_row = mul_t[scale_idx]
-    nf = np.zeros((len(cod), len(rem_col)), dtype=add_t.dtype)
-    one_idx = spec.one().index()
-    for i, mu in enumerate(cod):
-        a, b, c = mu[0] - lt[0], mu[1] - lt[1], mu[2] - lt[2]
-        if a >= 0 and b >= 0 and c >= 0 and a < box[0] and b < box[1] and c < box[2]:
-            acc = np.zeros(len(rem_col), dtype=add_t.dtype)
-            for t, coeff in rest:
-                contrib = mul_t[coeff.index()][nf[row_of[(a + t[0], b + t[1], c + t[2])]]]
-                acc = add_t[acc, contrib]
-            nf[i] = scale_row[acc]
-        else:
-            nf[i, rem_col[mu]] = one_idx
-    return nf
+def _syzygy_series(g: HomogeneousPoly, q: int) -> np.ndarray:
+    """[M_q^T ; -I] mod x^q over GF(p), for g monic in z, y = 1.
+
+    Returns the (q, 2kd, kd) coefficient array of the order-basis input:
+    rows are the generators z^(q+j) t^l (then the unknowns r_(i,l)),
+    columns the coordinates z^i t^l over GF(p)[x]/(x^q), for the generator
+    t of GF(p^k).
+    """
+    spec, d = g.spec, g.d
+    p, k = spec.p, spec.k
+    # coeff[e][i]: multiplication matrix of the coefficient of x^e z^i in g(x, 1, z)
+    coeff = np.zeros((d + 1, d, k, k), dtype=np.int64)
+    for (a, _, c), value in g.terms.items():
+        if c < d:
+            coeff[a, c] = mul_matrix(value)
+    used = [e for e in range(min(d + 1, q)) if coeff[e].any()]
+    # vec[e, i, :, l]: coordinates of the coefficient of x^e z^i in z^t * t^l
+    vec = np.zeros((q, d, k, k), dtype=np.int64)
+    vec[0, 0] = np.eye(k, dtype=np.int64)
+    series = np.zeros((q, 2 * k * d, k * d), dtype=np.int64)
+    for t in range(1, q + d):
+        top = vec[:, d - 1].copy()
+        vec[:, 1:] = vec[:, :-1].copy()
+        vec[:, 0] = 0
+        for e in used:  # z^d = -sum_i coeff_i(x) z^i
+            vec[e:] -= coeff[e][None] @ top[: q - e, None]
+        vec %= p
+        if t >= q:
+            j = t - q
+            series[:, j * k:(j + 1) * k] = vec.transpose(0, 3, 1, 2).reshape(q, k, d * k)
+    series[0, k * d:] = (p - 1) * np.eye(k * d, dtype=np.int64)
+    return series
+
+
+@lru_cache(maxsize=1)
+def syzygy_degrees(f: HomogeneousPoly, q: int) -> tuple[int, ...]:
+    """Generator degrees b_1 <= ... <= b_2d of Syz_R(x^q, y^q, z^q) over k[x, y].
+
+    Remembers the last (f, q): the block loop of `colength` asks once per block.
+    """
+    _validate_q(f.spec, q)
+    g = _monic_in_z(f)
+    k, d = g.spec.k, g.d
+    shifts = [q + i for i in range(d) for _ in range(k)] * 2
+    degs = sorted(order_basis_degrees(_syzygy_series(g, q), shifts, g.spec.p))
+    b = degs[::k]
+    if degs != sorted(b * k):  # pragma: no cover - restriction of scalars repeats each degree k times
+        raise AssertionError("restricted syzygy degrees are not k-fold")
+    return tuple(b)
+
+
+def _syzygy_hilbert(f: HomogeneousPoly, q: int, j: int) -> int:
+    """dim of the degree-j piece of S/(f, x^q, y^q, z^q), from the syzygy degrees."""
+    def c(m: int) -> int:
+        return max(m + 1, 0)
+
+    gens = sum(c(j - i) - 3 * c(j - q - i) for i in range(f.d))
+    return gens + sum(c(j - b) for b in syzygy_degrees(f, q))
 
 
 def _validate_q(spec: FieldSpec, q: int) -> int:
@@ -285,7 +275,6 @@ def colength(
     q: int,
     *,
     method: str = "auto",
-    threads: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> HKSample:
     """len(S/(f, x^q, y^q, z^q)) as an exact integer, q a power of char.
@@ -311,37 +300,18 @@ def colength(
     if progress:
         progress(j, j_max + 1)
 
-    workers = max(1, int(threads))
-    if workers > 1:
-        pool = ThreadPoolExecutor(max_workers=workers)
-    else:
-        pool = None
-    try:
-        while j <= j_max:
-            batch = list(range(j, min(j + max(workers, 1), j_max + 1)))
-            if pool is not None:
-                ranks = list(pool.map(lambda jj: block_rank(f, jj - d, q, method), batch))
-            else:
-                ranks = [block_rank(f, jj - d, q, method) for jj in batch]
-            stop = False
-            for jj, r in zip(batch, ranks):
-                dim_q = truncated_count(jj, q) - r
-                if dim_q < 0:  # pragma: no cover - internal sanity
-                    raise AssertionError("block rank exceeded codomain dimension")
-                if dim_q == 0:
-                    # the quotient algebra is standard graded: a zero piece
-                    # forces every higher piece to vanish
-                    stop = True
-                    break
-                total += dim_q
-            if stop:
-                break
-            j = batch[-1] + 1
-            if progress:
-                progress(min(j, j_max + 1), j_max + 1)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    while j <= j_max:
+        dim_q = truncated_count(j, q) - block_rank(f, j - d, q, method)
+        if dim_q < 0:  # pragma: no cover - internal sanity
+            raise AssertionError("block rank exceeded codomain dimension")
+        if dim_q == 0:
+            # the quotient algebra is standard graded: a zero piece forces
+            # every higher piece to vanish
+            break
+        total += dim_q
+        j += 1
+        if progress:
+            progress(j, j_max + 1)
     return HKSample(n_frob, q, total)
 
 
@@ -380,7 +350,6 @@ def hk_sequence(
     *,
     cache: "SampleCache | None" = None,
     method: str = "auto",
-    threads: int = 1,
     max_q: int | None = None,
     progress: Callable[[HKSample], None] | None = None,
 ) -> list[HKSample]:
@@ -404,7 +373,7 @@ def hk_sequence(
         if cached is not None:
             sample = HKSample(n, q, cached)
         else:
-            sample = colength(f, q, method=method, threads=threads)
+            sample = colength(f, q, method=method)
             if cache is not None:
                 cache.put(f, sample)
         samples.append(sample)
@@ -479,15 +448,28 @@ class SampleCache:
     def __init__(self, path: str):
         self.path = path
         self._data: dict[tuple[str, str, int], int] = {}
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
+        self._torn_at: int | None = None  # byte offset of a torn last line
+        self._newline = False
+        if not os.path.exists(path):
+            return
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        offset = 0
+        for no, line in enumerate(lines, 1):
+            try:
+                if line.strip():
                     rec = json.loads(line)
                     key = (rec["field"], rec["poly"], int(rec["q"]))
                     self._data[key] = int(rec["colength"])
+            except (ValueError, KeyError, TypeError) as exc:
+                if no < len(lines):
+                    raise EngineError(f"corrupt cache {path}, line {no}: {exc}") from exc
+                # no newline after it: a write that was cut off
+                sys.stderr.write(f"warning: dropping the torn last line of cache {path}\n")
+                self._torn_at = offset
+            offset += len(line) + 1
+        # a whole record that lost only its newline still needs one
+        self._newline = bool(lines[-1].strip()) and self._torn_at is None
 
     @staticmethod
     def _key(f: HomogeneousPoly, q: int) -> tuple[str, str, int]:
@@ -508,5 +490,9 @@ class SampleCache:
             "q": sample.q,
             "colength": sample.colength,
         }
+        if self._torn_at is not None:
+            os.truncate(self.path, self._torn_at)
+            self._torn_at = None
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec) + "\n")
+            fh.write("\n" * self._newline + json.dumps(rec) + "\n")
+        self._newline = False

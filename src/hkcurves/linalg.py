@@ -16,6 +16,10 @@ kernels:
 
 A pure-Python elimination over FieldElement values (`rank_generic`) is
 kept as the reference implementation for differential testing.
+
+`order_basis_degrees` is the one kernel over GF(p)[x]: the shifted degrees
+of a reduced approximant basis, from which the engine reads the syzygy
+degrees of (x^q, y^q, z^q).
 """
 
 from __future__ import annotations
@@ -184,22 +188,22 @@ def rank_modp(mat: np.ndarray, p: int) -> int:
     return r
 
 
+def mul_matrix(elem: FieldElement) -> np.ndarray:
+    """k x k matrix over GF(p) of multiplication by `elem`, columns indexed by
+    the basis 1, t, ..., t^(k-1)."""
+    field = elem.spec
+    out = np.zeros((field.k, field.k), dtype=np.int64)
+    basis, t = field.one(), field.gen()
+    for j in range(field.k):
+        out[:, j] = (elem * basis).coeffs
+        basis = basis * t
+    return out
+
+
 @lru_cache(maxsize=None)
 def _companion_table(field: FieldSpec) -> np.ndarray:
-    """(order, k, k) array: slice e is the GF(p)-matrix of multiplication by
-    the element with index e, columns indexed by the basis 1, t, ..., t^(k-1)."""
-    k, order = field.k, field.order
-    table = np.zeros((order, k, k), dtype=np.uint8)
-    for e in range(order):
-        elem = field.from_index(e)
-        basis = field.one()
-        t = field.gen()
-        for j in range(k):
-            prod = elem * basis
-            for i in range(k):
-                table[e, i, j] = prod.coeffs[i]
-            basis = basis * t
-    return table
+    """(order, k, k) array: slice e is mul_matrix of the element with index e."""
+    return np.array([mul_matrix(e) for e in field.elements()], dtype=np.uint8)
 
 
 def restrict_scalars(idx: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -211,33 +215,43 @@ def restrict_scalars(idx: np.ndarray, field: FieldSpec) -> np.ndarray:
     return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3).reshape(m * k, n * k))
 
 
-# ---------------------------------------------------------------------------
-# index arithmetic tables (used by the engine's staircase path for k >= 2)
-# ---------------------------------------------------------------------------
+def order_basis_degrees(series: np.ndarray, shifts: Sequence[int], p: int) -> list[int]:
+    """Shifted row degrees of a reduced order basis over GF(p)[x].
 
-_TABLE_LIMIT = 1024
-
-
-@lru_cache(maxsize=None)
-def index_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(add, mul) tables over element indices; capped at order 1024."""
-    order = field.order
-    if order > _TABLE_LIMIT:
-        raise ValueError(f"index tables capped at order {_TABLE_LIMIT}, got {order}")
-    dtype = _index_dtype(order)
-    add = np.zeros((order, order), dtype=dtype)
-    mul = np.zeros((order, order), dtype=dtype)
-    elems = [field.from_index(i) for i in range(order)]
-    for a in range(order):
-        ea = elems[a]
-        for b in range(a, order):
-            s = (ea + elems[b]).index()
-            add[a, b] = s
-            add[b, a] = s
-            pr = (ea * elems[b]).index()
-            mul[a, b] = pr
-            mul[b, a] = pr
-    return add, mul
+    `series[e]` is the coefficient of x^e in an m x n polynomial matrix F, for
+    e below the order.  The returned degrees are those of a basis of
+    {v in GF(p)[x]^m : v F = 0 mod x^order}, reduced for `shifts`: the degree
+    of row i is max_l(deg P_il + shifts[l]).  Iterative algorithm of
+    Beckermann and Labahn (SIAM J. Matrix Anal. Appl. 15, 1994): at each
+    order the rows of the residual P F are eliminated against each other in
+    order of increasing degree, and the rows that stay nonzero are multiplied
+    by x.  Only the residual and the degrees are tracked, never P itself.
+    """
+    res = np.array(series, dtype=np.int64) % p
+    order, m, _ = res.shape
+    deg = list(shifts)
+    for s in range(order):
+        const = res[s].copy()
+        if not const.any():
+            continue
+        trans = np.eye(m, dtype=np.int64)
+        pivots: list[tuple[int, int, int]] = []  # (row, column, inverse of the pivot)
+        for i in sorted(range(m), key=deg.__getitem__):
+            for r, c, inv in pivots:
+                fac = int(const[i, c]) * inv % p
+                if fac:
+                    const[i] = (const[i] - fac * const[r]) % p
+                    trans[i] = (trans[i] - fac * trans[r]) % p
+            nz = np.flatnonzero(const[i])
+            if nz.size:
+                c = int(nz[0])
+                pivots.append((i, c, pow(int(const[i, c]), p - 2, p)))
+        res[s:] = trans @ res[s:] % p
+        for i, _, _ in pivots:  # multiply by x, truncated at the order
+            res[s + 1:, i] = res[s:-1, i].copy()
+            res[s, i] = 0
+            deg[i] += 1
+    return deg
 
 
 def rank_generic(m: FpkMatrix) -> int:
@@ -269,26 +283,6 @@ def rank_generic(m: FpkMatrix) -> int:
     return r
 
 
-def random_matrix(field: FieldSpec, nrows: int, ncols: int, rng) -> FpkMatrix:
-    idx = rng.integers(0, field.order, size=(nrows, ncols))
-    return FpkMatrix(field, idx.astype(_index_dtype(field.order)))
-
-
-def matmul(a: FpkMatrix, b: FpkMatrix) -> FpkMatrix:
-    """Exact product, used only by small property tests."""
-    if a.field != b.field or a.ncols != b.nrows:
-        raise ValueError("shape or field mismatch")
-    field = a.field
-    out = FpkMatrix.zeros(field, a.nrows, b.ncols)
-    for i in range(a.nrows):
-        for j in range(b.ncols):
-            acc = field.zero()
-            for t in range(a.ncols):
-                acc = acc + a.get(i, t) * b.get(t, j)
-            out.set(i, j, acc)
-    return out
-
-
 __all__ = [
     "FpkMatrix",
     "rank",
@@ -296,7 +290,6 @@ __all__ = [
     "rank_modp",
     "rank_generic",
     "restrict_scalars",
-    "index_tables",
-    "random_matrix",
-    "matmul",
+    "mul_matrix",
+    "order_basis_degrees",
 ]

@@ -155,6 +155,29 @@ class TestClassify:
         )
         assert cached.read_bytes() == fresh.read_bytes()
 
+    def test_torn_last_cache_line_is_dropped(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        argv = ["compute", "--field", "GF(5)", "--poly", NODAL, "--nmax", "2",
+                "--cache", str(cache), "--threads", "1"]
+        code, fresh, _ = run(argv, capsys)
+        assert code == 0
+        whole = cache.read_text()
+        cache.write_text(whole[: whole.rindex('"colength"')])  # cut the last record
+        code, out, err = run(argv, capsys)
+        assert code == 0 and out == fresh
+        assert "torn last line" in err
+        assert cache.read_text() == whole  # the record is recomputed and rewritten
+
+    def test_corrupt_cache_line_mid_file_is_input_error(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        argv = ["compute", "--field", "GF(5)", "--poly", NODAL, "--nmax", "1",
+                "--cache", str(cache), "--threads", "1"]
+        assert run(argv, capsys)[0] == 0
+        cache.write_text("{not json\n" + cache.read_text())
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "line 1" in err and "Traceback" not in err
+
 
 class TestFamily:
     def test_monsky3_agreement(self, capsys):

@@ -17,6 +17,7 @@ from hkcurves.engine import (
     samples_to_csv,
     samples_to_json,
     smooth_check,
+    syzygy_degrees,
     truncated_basis,
     truncated_count,
 )
@@ -24,6 +25,9 @@ from hkcurves.gf import FieldSpec
 from hkcurves.poly import PlaneCurve, parse_poly
 
 FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(5)]
+
+# no shear over GF(2) makes it monic in z: it passes through every GF(2)-point
+ALL_POINTS_CUBIC = "x^2*y + x*y^2 + x^2*z + x*z^2 + y^2*z + y*z^2"
 
 
 def monomials_of_degree(d):
@@ -150,11 +154,48 @@ class TestStructuralInvariants:
         seq = hk_sequence(monsky3_f2, 3)
         assert [s.colength for s in seq] == [1, 27, 252, 2268]
 
-    def test_staircase_agrees_with_dense_blocks(self, monsky2_g1, nodal_cubic, monsky3_f2):
-        cases = [(monsky2_g1, 8), (nodal_cubic, 5), (monsky3_f2, 9)]
+    def test_staircase_agrees_with_dense_blocks(self, monsky2_g1, nodal_cubic, monsky3_f2,
+                                                gf2, gf4, gf9):
+        cases = [
+            (monsky2_g1, 8),
+            (nodal_cubic, 5),
+            (monsky3_f2, 9),
+            # GF(4) monsky2 member (alpha = t) and GF(9) monsky3 member (lambda = t)
+            (parse_poly("[1,0]*x^2*y^2 + z^4 + x*y*z^2 + (x^3+y^3)*z", gf4), 8),
+            (parse_poly("z^4 - x*y*(x+y)*(x+[1,0]*y)", gf9), 9),
+            # no pure power of a variable: needs the shear
+            (parse_poly("x*y*z + x^2*y + y^2*z", gf2), 8),
+            # vanishes on all of P^2(GF(2)): needs the shear over GF(4)
+            (parse_poly(ALL_POINTS_CUBIC, gf2), 8),
+        ]
         for f, q in cases:
             for n in range(0, 3 * (q - 1) - f.d + 1):
                 assert block_rank(f, n, q, "staircase") == block_rank(f, n, q, "dense")
+
+    def test_form_through_every_rational_point(self, gf2):
+        f = parse_poly(ALL_POINTS_CUBIC, gf2)
+        for q, want in ((2, 8), (4, 40), (8, 176)):
+            assert colength(f, q, method="staircase").colength == want
+            assert colength_naive(f, q).colength == want
+
+    def test_large_extension_field(self, gf2):
+        # k = 11: a field of order 2048
+        big = FieldSpec(2, 11)
+        f = parse_poly("z^2 + x*y", big)
+        assert colength(f, 32).colength == colength(parse_poly("z^2 + x*y", gf2), 32).colength == 1536
+
+    @pytest.mark.parametrize("q", [2, 4, 8, 16, 32])
+    def test_colength_from_syzygy_degrees(self, monsky2_g1, gf4, q):
+        for f in (monsky2_g1, parse_poly("[1,0]*x^2*y^2 + z^4 + x*y*z^2 + (x^3+y^3)*z", gf4)):
+            b = syzygy_degrees(f, q)
+            d = f.d
+            assert len(b) == 2 * d
+            closed = sum(j * j for j in range(d)) - 3 * sum((q + j) ** 2 for j in range(d))
+            assert colength(f, q).colength == (closed + sum(x * x for x in b)) // 2
+
+    def test_deep_pins(self, monsky2_g1, monsky3_f2):
+        assert colength(monsky2_g1, 256).colength == 200704
+        assert colength(monsky3_f2, 243).colength == 183708
 
     def test_graded_block_shape_and_entries(self, monsky2_g1):
         blk = graded_block(monsky2_g1, 3, 4)
@@ -191,15 +232,6 @@ class TestHKSequence:
         with pytest.raises(ResourceLimitError) as exc:
             hk_sequence(nodal_cubic, 3, max_q=25)
         assert [s.q for s in exc.value.partial] == [1, 5, 25]
-
-    def test_threads_do_not_change_results(self, monsky3_f2):
-        a = hk_sequence(monsky3_f2, 2, threads=1)
-        b = hk_sequence(monsky3_f2, 2, threads=4)
-        assert a == b
-
-    def test_threads_at_staircase_scale(self, monsky3_f2):
-        # q = 27 exercises the elimination window with batched block waves
-        assert colength(monsky3_f2, 27, threads=3) == colength(monsky3_f2, 27)
 
     def test_progress_callback(self, gf2):
         seen = []

@@ -6,15 +6,33 @@ from hypothesis import strategies as st
 from hkcurves.gf import FieldSpec
 from hkcurves.linalg import (
     FpkMatrix,
-    index_tables,
-    matmul,
+    order_basis_degrees,
     rank,
     rank_generic,
     rank_gf2,
     rank_modp,
-    random_matrix,
     restrict_scalars,
 )
+
+
+def random_matrix(field: FieldSpec, nrows: int, ncols: int, rng) -> FpkMatrix:
+    return FpkMatrix(field, rng.integers(0, field.order, size=(nrows, ncols)))
+
+
+def matmul(a: FpkMatrix, b: FpkMatrix) -> FpkMatrix:
+    """Exact product by FieldElement arithmetic, for the rank property tests."""
+    if a.field != b.field or a.ncols != b.nrows:
+        raise ValueError("shape or field mismatch")
+    field = a.field
+    out = FpkMatrix.zeros(field, a.nrows, b.ncols)
+    for i in range(a.nrows):
+        for j in range(b.ncols):
+            acc = field.zero()
+            for t in range(a.ncols):
+                acc = acc + a.get(i, t) * b.get(t, j)
+            out.set(i, j, acc)
+    return out
+
 
 FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(5), FieldSpec(7),
           FieldSpec(2, 2), FieldSpec(3, 2)]
@@ -98,14 +116,6 @@ class TestKernels:
             r_prime = rank_modp(blown, field.p) if field.p != 2 else rank_gf2(blown != 0)
             assert r_prime == field.k * rank(m)
 
-    def test_index_tables_match_field_ops(self, gf9):
-        add, mul = index_tables(gf9)
-        for i in range(gf9.order):
-            for j in range(gf9.order):
-                a, b = gf9.from_index(i), gf9.from_index(j)
-                assert int(add[i, j]) == (a + b).index()
-                assert int(mul[i, j]) == (a * b).index()
-
     def test_entry_growth_stays_exact_for_larger_p(self):
         # p large enough that lazy reduction would overflow a narrow dtype
         p = 251
@@ -114,3 +124,28 @@ class TestKernels:
         field = FieldSpec(p)
         m = FpkMatrix(field, mat.astype(np.int64))
         assert rank(m) == rank_generic(m)
+
+
+class TestOrderBasis:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    def test_degree_sum_is_the_order(self, p, n, order, seed):
+        # rows of [G; -I] span everything mod x^0, so the reduced basis of
+        # {(c, r) : c G = r mod x^order} has determinant degree n * order
+        rng = np.random.default_rng(seed)
+        series = np.zeros((order, 2 * n, n), dtype=np.int64)
+        series[:, :n] = rng.integers(0, p, size=(order, n, n))
+        series[0, n:] = (p - 1) * np.eye(n, dtype=np.int64)
+        shifts = [int(s) for s in rng.integers(0, 4, size=2 * n)]
+        degs = order_basis_degrees(series, shifts, p)
+        assert all(dg >= s for dg, s in zip(degs, shifts))
+        assert sum(degs) - sum(shifts) == n * order
+
+    def test_scalar_example(self):
+        # c * (1 + x) = r mod x^3 over GF(2), shifts 0: the reduced basis
+        # (1, 1 + x), (1 + x + x^2, 1) has degrees 1 and 2
+        series = np.zeros((3, 2, 1), dtype=np.int64)
+        series[0, 0, 0] = series[1, 0, 0] = 1
+        series[0, 1, 0] = 1
+        assert sorted(order_basis_degrees(series, [0, 0], 2)) == [1, 2]
