@@ -262,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
         if exc.partial:
             sys.stderr.write(samples_to_csv(exc.partial))
         return EXIT_RESOURCE
+    except MemoryError:
+        sys.stderr.write("resource limit: out of memory\n")
+        return EXIT_RESOURCE
     except (FieldError, PolyError, FamilyError, ClassifyError, EngineError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

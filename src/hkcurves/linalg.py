@@ -67,16 +67,6 @@ class FpkMatrix:
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "FpkMatrix":
         return cls(field, np.zeros((nrows, ncols), dtype=_index_dtype(field.order)))
 
-    @classmethod
-    def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence[FieldElement]]) -> "FpkMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        m = cls.zeros(field, nrows, ncols)
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                m.idx[i, j] = e.index()
-        return m
-
     def get(self, i: int, j: int) -> FieldElement:
         return self.field.from_index(int(self.idx[i, j]))
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from hkcurves import cli
 from hkcurves.cli import main
 
 G1 = "x^2*y^2 + z^4 + x*y*z^2 + (x^3+y^3)*z"
@@ -64,6 +67,21 @@ class TestCompute:
         )
         assert code == 3
         assert "resource limit" in err
+
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "hk_sequence", exhausted)
+        code, _, err = run(["compute", "--field", "GF(2)", "--poly", G1, "--nmax", "2"], capsys)
+        assert code == 3
+        assert err == "resource limit: out of memory\n"
+
+    @pytest.mark.parametrize("field,c,nmax", [("GF(2)", "1", 6), ("GF(3)", "2", 4), ("GF(2^2)", "1", 3)])
+    def test_constant_form_has_colength_zero(self, capsys, field, c, nmax):
+        code, out, _ = run(["compute", "--field", field, "--poly", c, "--nmax", str(nmax)], capsys)
+        assert code == 0
+        assert [line.split(",")[2] for line in out.strip().splitlines()[1:]] == ["0"] * (nmax + 1)
 
     def test_plot_csv(self, capsys, tmp_path):
         plot = tmp_path / "plot.csv"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hkcurves import engine
 from hkcurves.engine import (
     EngineError,
     HKSample,
@@ -14,6 +15,7 @@ from hkcurves.engine import (
     colength_naive,
     graded_block,
     hk_sequence,
+    oracle_cutoff,
     samples_to_csv,
     samples_to_json,
     smooth_check,
@@ -28,6 +30,8 @@ FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(5)]
 
 # no shear over GF(2) makes it monic in z: it passes through every GF(2)-point
 ALL_POINTS_CUBIC = "x^2*y + x*y^2 + x^2*z + x*z^2 + y^2*z + y*z^2"
+MONSKY2_T = "[1,0]*x^2*y^2 + z^4 + x*y*z^2 + (x^3+y^3)*z"  # monsky2, alpha = t in GF(4)
+MONSKY3_T = "z^4 - x*y*(x+y)*(x+[1,0]*y)"  # monsky3, lambda = t in GF(9)
 
 
 def monomials_of_degree(d):
@@ -193,6 +197,27 @@ class TestStructuralInvariants:
             closed = sum(j * j for j in range(d)) - 3 * sum((q + j) ** 2 for j in range(d))
             assert colength(f, q).colength == (closed + sum(x * x for x in b)) // 2
 
+    def test_constant_form_has_no_syzygy_degrees(self, gf2):
+        with pytest.raises(EngineError):
+            syzygy_degrees(parse_poly("1", gf2), 4)
+
+    def test_extension_fields_skip_dense_elimination(self, gf4, gf9):
+        # over GF(p^k), k >= 2, every block comes from the syzygy degrees
+        cases = [
+            (parse_poly(MONSKY2_T, gf4), 32),
+            (parse_poly(MONSKY3_T, gf9), 27),
+            # no pure power of a variable: needs the shear
+            (parse_poly("x*y*z + x^2*y + [1,0]*y^2*z", gf4), 32),
+        ]
+        for f, q_max in cases:
+            q = f.spec.p
+            while q <= q_max:
+                got = colength(f, q).colength
+                assert got == colength(f, q, method="dense").colength
+                if q <= oracle_cutoff(f.spec.p):
+                    assert got == colength_naive(f, q).colength
+                q *= f.spec.p
+
     def test_deep_pins(self, monsky2_g1, monsky3_f2):
         assert colength(monsky2_g1, 256).colength == 200704
         assert colength(monsky3_f2, 243).colength == 183708
@@ -232,6 +257,16 @@ class TestHKSequence:
         with pytest.raises(ResourceLimitError) as exc:
             hk_sequence(nodal_cubic, 3, max_q=25)
         assert [s.q for s in exc.value.partial] == [1, 5, 25]
+
+    def test_extension_field_needs_no_graded_block(self, gf4, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense block built over GF(4)")
+
+        monkeypatch.setattr(engine, "graded_block", refuse)
+        seq = hk_sequence(parse_poly("x^2*y^2 + z^4 + x*y*z^2 + (x^3+y^3)*z", gf4), 4)
+        assert [s.colength for s in seq] == [1, 8, 44, 196, 784]
+        seq = hk_sequence(parse_poly(MONSKY2_T, gf4), 5)
+        assert [s.colength for s in seq] == [1, 8, 44, 188, 764, 3076]
 
     def test_progress_callback(self, gf2):
         seen = []
