@@ -14,7 +14,6 @@ from .classify import (
     snap_classify,
 )
 from .engine import (
-    GradedBlock,
     HKSample,
     SampleCache,
     colength,
@@ -36,7 +35,6 @@ from .families import (
 from .gf import (
     FieldElement,
     FieldSpec,
-    artin_schreier_solve,
     d_lambda,
     embed,
     frobenius_orbit_degree,
@@ -57,11 +55,11 @@ from .poly import (
 __all__ = [
     "__version__",
     "FieldSpec", "FieldElement", "parse_field", "embed",
-    "frobenius_orbit_degree", "artin_schreier_solve", "m_alpha", "d_lambda",
+    "frobenius_orbit_degree", "m_alpha", "d_lambda",
     "Poly", "HomogeneousPoly", "PlaneCurve", "Monomial",
     "parse_poly", "partial", "multiplicity_at",
     "FpkMatrix", "rank", "rank_generic",
-    "HKSample", "GradedBlock", "SampleCache",
+    "HKSample", "SampleCache",
     "truncated_basis", "truncated_count", "graded_block",
     "colength", "colength_naive", "hk_sequence", "smooth_check",
     "Candidate", "HKReport", "MuEstimate",

@@ -2,10 +2,11 @@
 
 Subcommands: compute (raw HK samples), classify (trichotomy report),
 family (predicted-vs-measured sweeps), smoothcheck.  Exit codes: 0 for
-success including Ambiguous classifications, 2 for input errors, 3 for
+success including Ambiguous classifications, 2 for input errors
+(including an output, cache or other path that cannot be opened), 3 for
 resource limits, 4 for verification failures (oracle mismatch or a family
-sweep disagreement).  --threads and HK_THREADS are accepted and have no
-effect: the engine runs in one thread.
+sweep disagreement).  --threads is accepted and has no effect: the engine
+runs in one thread.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 
 from . import __version__
@@ -43,16 +43,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
-
-
-def _check_threads(args: argparse.Namespace) -> None:
-    """HK_THREADS has no effect, but a malformed one is still an input error."""
-    env = os.environ.get("HK_THREADS")
-    if env and not args.threads:
-        try:
-            int(env)
-        except ValueError:
-            raise FieldError(f"HK_THREADS must be an integer, got {env!r}")
 
 
 def _write(path: str | None, text: str) -> None:
@@ -255,7 +245,6 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad input, matching our input-error code
         return int(exc.code or 0)
     try:
-        _check_threads(args)
         return args.func(args)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
@@ -265,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         sys.stderr.write("resource limit: out of memory\n")
         return EXIT_RESOURCE
-    except (FieldError, PolyError, FamilyError, ClassifyError, EngineError) as exc:
+    except (FieldError, PolyError, FamilyError, ClassifyError, EngineError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -35,7 +35,8 @@ routed yet because perfbench keeps each command's output until a run ends:
 a faster prime-field path runs more passes there and reads as more memory.
 `block_rank(f, n, q, "dense")` stays the per-block reference of the tests
 for every k.  `colength_naive` is the grading-free oracle:
-one rank of the full q^3 x q^3 multiplication matrix.
+one rank of the full q^3 x q^3 multiplication matrix.  It, the graded
+blocks and `smooth_check` build their matrices with `_multiplication_matrix`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -86,16 +87,6 @@ class HKSample:
     colength: int
 
 
-@dataclass
-class GradedBlock:
-    """Degree-n piece of multiplication by f on the truncated monomial space."""
-
-    degree: int
-    domain_basis: list[Monomial]
-    codomain_basis: list[Monomial]
-    matrix: FpkMatrix
-
-
 def truncated_basis(n: int, q: int) -> list[Monomial]:
     """Monomials x^a y^b z^c with a+b+c = n and a, b, c < q, ascending lex."""
     if n < 0:
@@ -126,18 +117,28 @@ def truncated_count(n: int, q: int) -> int:
     return max(total, 0)
 
 
-def graded_block(f: HomogeneousPoly, n: int, q: int) -> GradedBlock:
-    """Materialize block n as an explicit |codomain| x |domain| matrix."""
-    dom = truncated_basis(n, q)
-    cod = truncated_basis(n + f.d, q)
-    mat = FpkMatrix.zeros(f.spec, len(cod), len(dom))
-    row_of = {mu: i for i, mu in enumerate(cod)}
-    for col, m in enumerate(dom):
-        for t, coeff in f.terms.items():
-            mu = (m[0] + t[0], m[1] + t[1], m[2] + t[2])
-            if mu[0] < q and mu[1] < q and mu[2] < q:
-                mat.idx[row_of[mu], col] = coeff.index()
-    return GradedBlock(n, dom, cod, mat)
+def _multiplication_matrix(
+    g: HomogeneousPoly, domain: list[Monomial], codomain: list[Monomial]
+) -> FpkMatrix:
+    """Multiplication by g from span(domain) to span(codomain), |codomain| x |domain|.
+
+    Products that fall outside `codomain` are dropped: that is the
+    truncation by (x^q, y^q, z^q) when `codomain` is a truncated basis.
+    """
+    mat = FpkMatrix.zeros(g.spec, len(codomain), len(domain))
+    row_of = {mu: i for i, mu in enumerate(codomain)}
+    terms = [(t, coeff.index()) for t, coeff in g.terms.items()]
+    for col, m in enumerate(domain):
+        for t, index in terms:
+            row = row_of.get((m[0] + t[0], m[1] + t[1], m[2] + t[2]))
+            if row is not None:
+                mat.idx[row, col] = index
+    return mat
+
+
+def graded_block(f: HomogeneousPoly, n: int, q: int) -> FpkMatrix:
+    """Block n, multiplication by f from truncated_basis(n, q) to truncated_basis(n + d, q)."""
+    return _multiplication_matrix(f, truncated_basis(n, q), truncated_basis(n + f.d, q))
 
 
 def block_rank(f: HomogeneousPoly, n: int, q: int, method: str = "auto") -> int:
@@ -153,7 +154,7 @@ def block_rank(f: HomogeneousPoly, n: int, q: int, method: str = "auto") -> int:
     if n_dom == 0 or n_cod == 0:
         return 0
     if method == "dense" or (method == "auto" and n_dom * n_cod <= DENSE_CELL_LIMIT):
-        return graded_block(f, n, q).matrix.rank()
+        return graded_block(f, n, q).rank()
     if method not in ("auto", "staircase"):
         raise ValueError(f"unknown block rank method {method!r}")
     return n_cod - _syzygy_hilbert(f, q, n + f.d)
@@ -278,25 +279,18 @@ def _validate_q(spec: FieldSpec, q: int) -> int:
     return n
 
 
-def colength(
-    f: HomogeneousPoly,
-    q: int,
-    *,
-    method: str = "auto",
-    progress: Callable[[int, int], None] | None = None,
-) -> HKSample:
+def colength(f: HomogeneousPoly, q: int) -> HKSample:
     """len(S/(f, x^q, y^q, z^q)) as an exact integer, q a power of char.
 
     Equals q^3 minus the summed ranks of the graded multiplication-by-f
-    blocks for 0 <= n <= 3(q-1) - d; 0 for a constant f.  `auto` eliminates
-    blocks densely over GF(p) only: see the module docstring for why.
+    blocks for 0 <= n <= 3(q-1) - d; 0 for a constant f.  Blocks are
+    eliminated densely over GF(p) only: see the module docstring for why.
     """
     n_frob = _validate_q(f.spec, q)
     d = f.d
     if d == 0:  # f is a unit
         return HKSample(n_frob, q, 0)
-    if method == "auto" and f.spec.k > 1:
-        method = "staircase"
+    method = "staircase" if f.spec.k > 1 else "auto"
     j_max = 3 * (q - 1)
     total = 0
     j = 0
@@ -310,8 +304,6 @@ def colength(
         else:
             break
         j += 1
-    if progress:
-        progress(j, j_max + 1)
 
     while j <= j_max:
         dim_q = truncated_count(j, q) - block_rank(f, j - d, q, method)
@@ -323,8 +315,6 @@ def colength(
             break
         total += dim_q
         j += 1
-        if progress:
-            progress(j, j_max + 1)
     return HKSample(n_frob, q, total)
 
 
@@ -346,15 +336,7 @@ def colength_naive(f: HomogeneousPoly, q: int) -> HKSample:
             f"naive oracle refuses q = {q} > cutoff {cutoff} for p = {spec.p}"
         )
     basis = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)]
-    pos = {m: i for i, m in enumerate(basis)}
-    size = len(basis)
-    mat = FpkMatrix.zeros(spec, size, size)
-    for col, m in enumerate(basis):
-        for t, coeff in f.terms.items():
-            mu = (m[0] + t[0], m[1] + t[1], m[2] + t[2])
-            if mu[0] < q and mu[1] < q and mu[2] < q:
-                mat.idx[pos[mu], col] = coeff.index()
-    return HKSample(n_frob, q, size - mat.rank())
+    return HKSample(n_frob, q, len(basis) - _multiplication_matrix(f, basis, basis).rank())
 
 
 def hk_sequence(
@@ -362,9 +344,7 @@ def hk_sequence(
     n_max: int,
     *,
     cache: "SampleCache | None" = None,
-    method: str = "auto",
     max_q: int | None = None,
-    progress: Callable[[HKSample], None] | None = None,
 ) -> list[HKSample]:
     """HK samples for n = 0..n_max, smallest q first; deterministic.
 
@@ -386,13 +366,11 @@ def hk_sequence(
         if cached is not None:
             sample = HKSample(n, q, cached)
         else:
-            sample = colength(f, q, method=method)
+            sample = colength(f, q)
             if cache is not None:
                 cache.put(f, sample)
         samples.append(sample)
         log.debug("HK(%s) q=%d colength=%d", f, q, sample.colength)
-        if progress:
-            progress(sample)
     return samples
 
 
@@ -407,35 +385,14 @@ def smooth_check(curve: PlaneCurve) -> bool:
     definitive rather than a too-small-N artifact.
     """
     f = curve.f
-    spec = f.spec
-    d = f.d
-    big_n = 3 * d - 3
-    target = [m for m in _degree_basis(big_n)]
-    row_of = {mu: i for i, mu in enumerate(target)}
-    gens: list[tuple[Poly, int]] = [(f, big_n - d)]
-    for v in ("x", "y", "z"):
-        pf = partial(f, v)
-        if pf is not None:
-            gens.append((pf, big_n - d + 1))
-    rows: list[np.ndarray] = []
-    for g, cof_deg in gens:
-        for m in _degree_basis(cof_deg):
-            row = np.zeros(len(target), dtype=np.int64)
-            for t, coeff in g.terms.items():
-                mu = (m[0] + t[0], m[1] + t[1], m[2] + t[2])
-                row[row_of[mu]] = coeff.index()
-            rows.append(row)
-    dt = np.uint8 if spec.order <= 256 else (np.uint16 if spec.order <= 65536 else np.int64)
-    mat = FpkMatrix(spec, np.array(rows, dtype=dt))
-    return mat.rank() == len(target)
-
-
-def _degree_basis(n: int) -> list[Monomial]:
-    out = []
-    for a in range(n + 1):
-        for b in range(n - a + 1):
-            out.append((a, b, n - a - b))
-    return out
+    big_n = 3 * f.d - 3
+    target = truncated_basis(big_n, big_n + 1)  # every monomial of degree N
+    gens = [f] + [g for g in (partial(f, v) for v in ("x", "y", "z")) if g is not None]
+    blocks = [
+        _multiplication_matrix(g, truncated_basis(big_n - g.d, big_n + 1), target).idx
+        for g in gens
+    ]
+    return FpkMatrix(f.spec, np.hstack(blocks)).rank() == len(target)
 
 
 # ---------------------------------------------------------------------------

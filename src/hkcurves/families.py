@@ -22,7 +22,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .classify import HKReport, snap_classify
 from .engine import hk_sequence
@@ -182,9 +182,8 @@ def _orbit_representatives(spec: FieldSpec, exclude: set[int]) -> list[FieldElem
     return reps
 
 
-def _measure(pred: FamilyPrediction, n_max: int,
-             progress: Callable | None = None) -> SweepRow:
-    samples = hk_sequence(pred.curve, n_max, progress=progress)
+def _measure(pred: FamilyPrediction, n_max: int) -> SweepRow:
+    samples = hk_sequence(pred.curve, n_max)
     report = snap_classify(
         samples,
         pred.curve.d,
@@ -202,28 +201,25 @@ def _measure(pred: FamilyPrediction, n_max: int,
     return SweepRow(pred.param, invariant, pred.predicted_hkm, measured, agree, report)
 
 
-def sweep_monsky2(k: int, n_max: int,
-                  progress: Callable | None = None) -> list[SweepRow]:
+def sweep_monsky2(k: int, n_max: int) -> list[SweepRow]:
     spec = FieldSpec(2, k)
     rows = []
     for alpha in _orbit_representatives(spec, exclude={0}):
-        rows.append(_measure(monsky_char2(alpha), n_max, progress))
+        rows.append(_measure(monsky_char2(alpha), n_max))
     return rows
 
 
-def sweep_monsky3(k: int, n_max: int,
-                  progress: Callable | None = None) -> list[SweepRow]:
+def sweep_monsky3(k: int, n_max: int) -> list[SweepRow]:
     spec = FieldSpec(3, k)
     exclude = {spec.zero().index(), spec.one().index()}
     rows = []
     for lam in _orbit_representatives(spec, exclude=exclude):
-        rows.append(_measure(monsky_char3(lam), n_max, progress))
+        rows.append(_measure(monsky_char3(lam), n_max))
     return rows
 
 
-def sweep_singular(d: int, r: int, spec: FieldSpec, n_max: int,
-                   progress: Callable | None = None) -> list[SweepRow]:
-    return [_measure(singular_family(d, r, spec), n_max, progress)]
+def sweep_singular(d: int, r: int, spec: FieldSpec, n_max: int) -> list[SweepRow]:
+    return [_measure(singular_family(d, r, spec), n_max)]
 
 
 def sweep_to_csv(rows: Iterable[SweepRow]) -> str:

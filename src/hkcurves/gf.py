@@ -6,10 +6,10 @@ is either supplied by the caller or taken from a deterministic built-in
 choice (the lexicographically smallest monic irreducible of that degree),
 so element encodings are stable across runs.
 
-Also hosts the Frobenius-orbit and Artin-Schreier machinery used by the
-curve family constructors: orbit degrees, solving lambda^2 + lambda = alpha
-in characteristic 2 (enlarging the field when the trace obstruction is
-nonzero), and the m(alpha) / d(lambda) invariants they induce.
+Also hosts the Frobenius-orbit machinery used by the curve family
+constructors: orbit degrees, and the m(alpha) / d(lambda) invariants.
+m(alpha), the degree of a root of lambda^2 + lambda = alpha in
+characteristic 2, is read off a trace (additive Hilbert 90).
 """
 
 from __future__ import annotations
@@ -499,7 +499,7 @@ def embed(a: FieldElement, target: FieldSpec) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# Frobenius orbits and Artin-Schreier solving
+# Frobenius orbits and the family invariants
 # ---------------------------------------------------------------------------
 
 def frobenius_orbit_degree(a: FieldElement) -> int:
@@ -514,62 +514,24 @@ def frobenius_orbit_degree(a: FieldElement) -> int:
     return e
 
 
-def artin_schreier_solve(alpha: FieldElement) -> FieldElement:
-    """A lambda with lambda^2 + lambda = alpha, in characteristic 2.
-
-    Solvable in GF(2^k) exactly when the absolute trace of alpha vanishes;
-    otherwise alpha is first embedded into GF(2^(2k)), where the trace
-    vanishes automatically.  The two solutions differ by 1 and are
-    interchangeable for every orbit-degree purpose.
-    """
-    spec = alpha.spec
-    if spec.p != 2:
-        raise FieldError("Artin-Schreier solving implemented for characteristic 2 only")
-    if alpha.trace() != 0:
-        bigger = FieldSpec(2, 2 * spec.k)
-        return artin_schreier_solve(embed(alpha, bigger))
-    # lambda -> lambda^2 + lambda is GF(2)-linear; solve on coefficient vectors
-    k = spec.k
-    cols = []
-    for i in range(k):
-        e_i = spec.from_index(1 << i)
-        img = e_i * e_i + e_i
-        cols.append(img.coeffs)
-    # bit-row Gaussian elimination on the k x (k+1) augmented system
-    rows = []
-    for r in range(k):
-        bits = 0
-        for c in range(k):
-            if cols[c][r]:
-                bits |= 1 << c
-        bits |= alpha.coeffs[r] << k
-        rows.append(bits)
-    pivots: list[int] = []
-    for c in range(k):
-        piv = next((i for i in range(len(pivots), k) if rows[i] >> c & 1), None)
-        if piv is None:
-            continue
-        rows[len(pivots)], rows[piv] = rows[piv], rows[len(pivots)]
-        for i in range(k):
-            if i != len(pivots) and rows[i] >> c & 1:
-                rows[i] ^= rows[len(pivots)]
-        pivots.append(c)
-    sol = [0] * k
-    for r, c in enumerate(pivots):
-        sol[c] = rows[r] >> k & 1
-    lam = spec.from_index(sum(b << i for i, b in enumerate(sol)))
-    if lam * lam + lam != alpha:  # pragma: no cover - trace-0 guarantees solvability
-        raise FieldError("Artin-Schreier system inconsistent")
-    return lam
-
-
 def m_alpha(alpha: FieldElement) -> int:
-    """Orbit degree of a solution of lambda^2 + lambda = alpha (char 2, alpha != 0)."""
+    """Orbit degree of a solution of lambda^2 + lambda = alpha (char 2, alpha != 0).
+
+    With e the degree of alpha, a root lies in GF(2^e) exactly when the
+    trace of alpha from GF(2^e) to GF(2) vanishes (additive Hilbert 90);
+    otherwise it generates the quadratic extension GF(2^(2e)).  Since
+    alpha = lambda^2 + lambda lies in GF(2)(lambda), the degree is e or 2e.
+    """
     if alpha.spec.p != 2:
         raise FieldError("m(alpha) is defined in characteristic 2")
     if not alpha:
         raise FieldError("m(alpha) requires alpha != 0")
-    return frobenius_orbit_degree(artin_schreier_solve(alpha))
+    e = frobenius_orbit_degree(alpha)
+    trace, conj = alpha, alpha
+    for _ in range(e - 1):
+        conj = conj.frobenius()
+        trace = trace + conj
+    return 2 * e if trace else e
 
 
 def d_lambda(lam: FieldElement) -> int:

@@ -142,7 +142,9 @@ def _elim_dtype(p: int, mindim: int):
         return np.int16
     if bound < 2**31 - 1:
         return np.int32
-    return np.int64
+    if bound < 2**63 - 1:
+        return np.int64
+    return object  # exact Python integers
 
 
 def rank_modp(mat: np.ndarray, p: int) -> int:
@@ -150,7 +152,8 @@ def rank_modp(mat: np.ndarray, p: int) -> int:
 
     Entries grow between reductions; only the pivot row and column are
     reduced mod p at each step, and the dtype is sized so the accumulated
-    magnitude (p-1) + min(m,n)*(p-1)^2 never overflows.
+    magnitude (p-1) + min(m,n)*(p-1)^2 never overflows: past int64 the
+    entries are Python integers.
     """
     m, n = mat.shape
     if m == 0 or n == 0:
@@ -193,7 +196,7 @@ def mul_matrix(elem: FieldElement) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _companion_table(field: FieldSpec) -> np.ndarray:
     """(order, k, k) array: slice e is mul_matrix of the element with index e."""
-    return np.array([mul_matrix(e) for e in field.elements()], dtype=np.uint8)
+    return np.array([mul_matrix(e) for e in field.elements()], dtype=_index_dtype(field.p))
 
 
 def restrict_scalars(idx: np.ndarray, field: FieldSpec) -> np.ndarray:

@@ -90,10 +90,6 @@ class Poly:
             return None
         return max(sum(m) for m in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
-
     def coefficient(self, mon: Monomial) -> FieldElement:
         return self.terms.get(mon, self.spec.zero())
 

@@ -244,6 +244,13 @@ class TestSmoothcheck:
         )
         assert code == 0 and out.strip() == "false"
 
+    def test_nodal_cubic_over_gf257_squared(self, capsys):
+        # node at x = [1,256], y = [256,3], z = 1
+        poly = ("[0,256]*x^3 + [3,253]*x^2*z + [8,4]*x*z^2 + y^2*z + [2,251]*y*z^2 "
+                "+ [253,16]*z^3")
+        code, out, _ = run(["smoothcheck", "--field", "GF(257^2)", "--poly", poly], capsys)
+        assert code == 0 and out.strip() == "false"
+
 
 class TestThreadBudget:
     def test_hk_threads_env(self, capsys, monkeypatch):
@@ -254,18 +261,41 @@ class TestThreadBudget:
         assert code == 0
         assert out.strip().splitlines()[-1] == "2,25,1449"
 
-    def test_bad_hk_threads_is_input_error(self, capsys, monkeypatch):
+    def test_hk_threads_is_not_read(self, capsys, monkeypatch):
         monkeypatch.setenv("HK_THREADS", "many")
-        code, _, err = run(
+        code, out, err = run(
             ["compute", "--field", "GF(5)", "--poly", NODAL, "--nmax", "1"], capsys
         )
-        assert code == 2
-        assert "HK_THREADS" in err
+        assert code == 0 and err == ""
+        assert out.strip().splitlines()[-1] == "1,5,55"
 
     def test_threads_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HK_THREADS", "many")  # invalid, but flag wins
+        monkeypatch.setenv("HK_THREADS", "many")  # not read; --threads is accepted
         code, _, _ = run(
             ["compute", "--field", "GF(5)", "--poly", NODAL, "--nmax", "1",
              "--threads", "2"], capsys
         )
         assert code == 0
+
+
+class TestUnusablePaths:
+    def test_missing_csv_directory_exits_2(self, capsys, tmp_path):
+        code, _, err = run(
+            ["compute", "--field", "GF(2)", "--poly", G1, "--nmax", "1",
+             "--out-csv", str(tmp_path / "missing" / "o.csv")], capsys
+        )
+        assert code == 2 and err.startswith("error: ")
+
+    def test_missing_json_directory_exits_2(self, capsys, tmp_path):
+        code, _, err = run(
+            ["classify", "--field", "GF(2)", "--poly", G1, "--nmax", "3",
+             "--out-json", str(tmp_path / "missing" / "o.json")], capsys
+        )
+        assert code == 2 and err.startswith("error: ")
+
+    def test_cache_that_is_a_directory_exits_2(self, capsys, tmp_path):
+        code, _, err = run(
+            ["compute", "--field", "GF(2)", "--poly", G1, "--nmax", "1",
+             "--cache", str(tmp_path)], capsys
+        )
+        assert code == 2 and err.startswith("error: ")

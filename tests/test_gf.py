@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hkcurves.gf import (
     FieldError,
     FieldSpec,
-    artin_schreier_solve,
     d_lambda,
     default_modulus,
     embed,
@@ -117,36 +116,37 @@ class TestFrobeniusOrbit:
         assert spec.k % frobenius_orbit_degree(a) == 0
 
 
+def artin_schreier_roots(alpha):
+    """Every root of lambda^2 + lambda = alpha in GF(2^(2k)), by brute force."""
+    big = FieldSpec(2, 2 * alpha.spec.k)
+    target = embed(alpha, big)
+    return [lam for lam in big.elements() if lam * lam + lam == target]
+
+
 class TestArtinSchreier:
-    def test_alpha_zero(self, gf2):
-        lam = artin_schreier_solve(gf2.element(0))
-        assert lam * lam + lam == gf2.zero()
+    """m(alpha) against the degree of a root of lambda^2 + lambda = alpha."""
 
     def test_alpha_one_needs_gf4(self, gf2):
-        lam = artin_schreier_solve(gf2.element(1))
-        assert lam.spec.k == 2
-        assert lam * lam + lam == embed(gf2.element(1), lam.spec)
-        assert frobenius_orbit_degree(lam) == 2
+        roots = artin_schreier_roots(gf2.element(1))
+        assert [frobenius_orbit_degree(lam) for lam in roots] == [2, 2]
+        assert m_alpha(gf2.element(1)) == 2
 
     def test_gf4_generator_lands_in_gf16(self, gf4):
         alpha = gf4.gen()
         assert alpha.trace() == 1
-        lam = artin_schreier_solve(alpha)
-        assert lam.spec.k == 4
-        assert lam * lam + lam == embed(alpha, lam.spec)
-        assert frobenius_orbit_degree(lam) == 4
+        roots = artin_schreier_roots(alpha)
+        assert [frobenius_orbit_degree(lam) for lam in roots] == [4, 4]
+        assert m_alpha(alpha) == 4
 
-    def test_rejects_odd_characteristic(self, gf3):
-        with pytest.raises(FieldError):
-            artin_schreier_solve(gf3.element(1))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([FieldSpec(2), FieldSpec(2, 2), FieldSpec(2, 3),
-                            FieldSpec(2, 4)]).flatmap(
-        lambda s: st.integers(0, s.order - 1).map(s.from_index)))
-    def test_solution_identity(self, alpha):
-        lam = artin_schreier_solve(alpha)
-        assert lam * lam + lam == embed(alpha, lam.spec)
+    def test_solution_identity(self):
+        # GF(2^(2k)) holds both roots for every alpha in GF(2^k); they differ by 1
+        for k in (1, 2, 3, 4):
+            spec = FieldSpec(2, k)
+            for idx in range(1, spec.order):
+                alpha = spec.from_index(idx)
+                roots = artin_schreier_roots(alpha)
+                assert len(roots) == 2
+                assert {frobenius_orbit_degree(lam) for lam in roots} == {m_alpha(alpha)}
 
 
 class TestInvariants:

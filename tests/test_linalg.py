@@ -125,6 +125,33 @@ class TestKernels:
         m = FpkMatrix(field, mat.astype(np.int64))
         assert rank(m) == rank_generic(m)
 
+    def test_extension_field_with_p_above_256(self):
+        # multiplication matrices over GF(257^2) have entries up to p - 1 = 256
+        field = FieldSpec(257, 2)
+        top = field.order - 1  # p - 1 in both coordinates
+        rows = [[top, 256, top - 256], [257 + 256, top, 256]]
+        for third in ([top, top, top], [0, 0, 0]):
+            m = FpkMatrix.zeros(field, 3, 3)
+            for i, row in enumerate(rows):
+                for j, e in enumerate(row):
+                    m.set(i, j, field.from_index(e))
+            for j in range(3):  # a third row: the sum of the first two, plus `third`
+                m.set(2, j, m.get(0, j) + m.get(1, j) + field.from_index(third[j]))
+            assert rank(m) == rank_generic(m)
+
+    @pytest.mark.parametrize("p", [2147483647, 4294967311])
+    def test_entry_growth_past_int64(self, p):
+        # (p-1) + (min(m,n)+1)(p-1)^2 exceeds 2^63: elimination needs exact integers
+        field = FieldSpec(p)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            top = rng.integers(p - 1000, p, size=(4, 6))
+            comb = rng.integers(p - 1000, p, size=(2, 4))
+            low = [[sum(int(c) * int(t) for c, t in zip(row, col)) % p for col in top.T]
+                   for row in comb]
+            m = FpkMatrix(field, np.vstack([top, np.array(low, dtype=np.int64)]))
+            assert rank(m) == rank_generic(m) == 4
+
 
 class TestOrderBasis:
     @settings(max_examples=60, deadline=None)
