@@ -128,6 +128,8 @@ def estimate_mu(samples: Sequence[HKSample], K: Fraction | int = 1) -> MuEstimat
     smaller q stands in for the previous quotient.
     """
     K = Fraction(K)
+    if K < 0:
+        raise ClassifyError(f"the slack K must be >= 0, got {K}")
     usable = sorted((s for s in samples if s.n >= 1), key=lambda s: s.n)
     if len(usable) < 2:
         raise ClassifyError("need at least two samples with n >= 1")

@@ -160,20 +160,6 @@ def block_rank(f: HomogeneousPoly, n: int, q: int, method: str = "auto") -> int:
     return n_cod - _syzygy_hilbert(f, q, n + f.d)
 
 
-def _substitute(f: HomogeneousPoly, images: tuple[Poly, Poly, Poly]) -> HomogeneousPoly:
-    """f(images[0], images[1], images[2]) for linear forms `images`."""
-    powers = []
-    for image in images:
-        row = [Poly.constant(f.spec, 1)]
-        for _ in range(f.d):
-            row.append(row[-1] * image)
-        powers.append(row)
-    out = Poly.zero(f.spec)
-    for (a, b, c), coeff in f.terms.items():
-        out = out + powers[0][a] * powers[1][b] * powers[2][c] * coeff
-    return HomogeneousPoly.from_poly(out)
-
-
 def _coordinate_changes(f: HomogeneousPoly):
     """Linear substitutions to try, ending with the first shear that works."""
     spec = f.spec
@@ -195,7 +181,7 @@ def _monic_in_z(f: HomogeneousPoly) -> HomogeneousPoly:
     same search over GF(p^(2k)).
     """
     for images in _coordinate_changes(f):
-        g = _substitute(f, images)
+        g = f.substitute(images)
         lead = g.coefficient((0, 0, f.d))
         if lead:
             return HomogeneousPoly.from_poly(g * lead.inverse())

@@ -26,7 +26,7 @@ from typing import Iterable
 
 from .classify import HKReport, snap_classify
 from .engine import hk_sequence
-from .gf import FieldElement, FieldSpec, d_lambda, m_alpha
+from .gf import FieldElement, FieldSpec, d_lambda, frobenius_orbit_degree, m_alpha
 from .poly import HomogeneousPoly, PlaneCurve, Poly
 
 
@@ -171,13 +171,10 @@ def _orbit_representatives(spec: FieldSpec, exclude: set[int]) -> list[FieldElem
     for idx in range(spec.order):
         if idx in exclude or idx in seen:
             continue
-        a = spec.from_index(idx)
-        orbit = {a.index()}
-        b = a.frobenius()
-        while b != a:
-            orbit.add(b.index())
+        a = b = spec.from_index(idx)
+        for _ in range(frobenius_orbit_degree(a)):
+            seen.add(b.index())
             b = b.frobenius()
-        seen.update(orbit)
         reps.append(a)
     return reps
 

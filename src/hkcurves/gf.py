@@ -6,6 +6,12 @@ is either supplied by the caller or taken from a deterministic built-in
 choice (the lexicographically smallest monic irreducible of that degree),
 so element encodings are stable across runs.
 
+`power` is the one square-and-multiply loop: `FieldElement` and `Poly`
+powers and the modular powers of the irreducibility test and of root
+finding all run through it.  An embedding GF(p^k) -> GF(p^K), k | K,
+sends t to a root of the modulus, found by equal-degree splitting over
+the target field.
+
 Also hosts the Frobenius-orbit machinery used by the curve family
 constructors: orbit degrees, and the m(alpha) / d(lambda) invariants.
 m(alpha), the degree of a root of lambda^2 + lambda = alpha in
@@ -14,9 +20,12 @@ characteristic 2, is read off a trace (additive Hilbert 90).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 class FieldError(ValueError):
@@ -45,6 +54,18 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def power(base: T, e: int, one: T, mul: Callable[[T, T], T] = operator.mul) -> T:
+    """base^e for e >= 0 by square-and-multiply; `one` is the unit of `mul`."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +104,7 @@ def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
 
 
 def _poly_powmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_mod(a, m, p)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), m, p)
-        base = _poly_mod(_poly_mul(base, base, p), m, p)
-        e >>= 1
-    return result
+    return power(_poly_mod(a, m, p), e, [1], lambda u, v: _poly_mod(_poly_mul(u, v, p), m, p))
 
 
 def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -112,8 +126,7 @@ def _is_irreducible(mod_lo: Sequence[int], p: int) -> bool:
     if k < 1:
         return False
     t = [0, 1]
-    frob = _poly_powmod(t, p ** k, mod_lo, p)
-    if _poly_trim([(a - b) % p for a, b in _zip_pad(frob, t)]):
+    if _poly_powmod(t, p ** k, mod_lo, p) != t:
         return False
     for ell in _prime_divisors(k):
         g = _poly_powmod(t, p ** (k // ell), mod_lo, p)
@@ -316,14 +329,7 @@ class FieldElement:
     def __pow__(self, e: int) -> "FieldElement":
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.spec.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.spec.one())
 
     def inverse(self) -> "FieldElement":
         if not self:
@@ -340,13 +346,19 @@ class FieldElement:
     def frobenius(self) -> "FieldElement":
         return self ** self.spec.p
 
-    def trace(self) -> int:
-        """Absolute trace down to GF(p), returned as an int in [0, p)."""
-        acc = self
-        b = self
-        for _ in range(self.spec.k - 1):
-            b = b.frobenius()
-            acc = acc + b
+    def trace(self, degree: int | None = None) -> int:
+        """Trace from GF(p^degree) down to GF(p), as an int in [0, p).
+
+        `degree` defaults to k, the absolute trace; the element must lie in
+        the subfield GF(p^degree).
+        """
+        e = self.spec.k if degree is None else degree
+        acc = conj = self
+        for _ in range(e - 1):
+            conj = conj.frobenius()
+            acc = acc + conj
+        if e < 1 or conj.frobenius() != self:
+            raise FieldError(f"{self} does not lie in GF({self.spec.p}^{e})")
         return acc.coeffs[0]
 
     def index(self) -> int:
@@ -370,20 +382,10 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 
 def _find_root(mod_lo: Sequence[int], target: FieldSpec) -> FieldElement:
-    """A root in `target` of the given polynomial over GF(p); exists whenever
-    the polynomial's degree divides target.k."""
-    p = target.p
-    if target.order <= 4096:
-        for a in target.elements():
-            acc = target.zero()
-            for c in reversed(list(mod_lo)):
-                acc = acc * a + target.element(c)
-            if not acc:
-                return a
-        raise FieldError("polynomial has no root in target field")
-    # equal-degree splitting: the modulus splits into linears over target
-    coeffs = [target.element(c) for c in mod_lo]
-    g = _target_poly_monic(coeffs)
+    """A root in `target` of an irreducible polynomial over GF(p) whose degree
+    divides target.k: it splits into distinct linear factors over `target`,
+    which equal-degree splitting separates."""
+    g = _target_poly_monic([target.element(c) for c in mod_lo])
     while len(g) - 1 > 1:
         g = _split_linear_product(g, target)
     return -g[0]
@@ -436,24 +438,14 @@ def _split_linear_product(g: list[FieldElement], spec: FieldSpec) -> list[FieldE
     for uidx in range(1, spec.order):
         u = spec.from_index(uidx)
         if spec.p == 2:
-            s = [spec.zero(), u]  # u*t
-            acc = list(s)
-            cur = list(s)
+            acc = cur = [spec.zero(), u]  # u*t
             for _ in range(spec.k - 1):
                 cur = _target_poly_mulmod(cur, cur, g, spec)
                 acc = _target_poly_add(acc, cur, spec)
             h = _target_poly_mod(acc, g)
         else:
-            base = [u, one]  # t + u
-            e = (spec.order - 1) // 2
-            h = [one]
-            b = _target_poly_mod(list(base), g)
-            ee = e
-            while ee:
-                if ee & 1:
-                    h = _target_poly_mulmod(h, b, g, spec)
-                b = _target_poly_mulmod(b, b, g, spec)
-                ee >>= 1
+            h = power([u, one], (spec.order - 1) // 2, [one],
+                      lambda a, b: _target_poly_mulmod(a, b, g, spec))
             h = _target_poly_add(h, [-one], spec)
         if not h:
             continue
@@ -504,14 +496,12 @@ def embed(a: FieldElement, target: FieldSpec) -> FieldElement:
 
 def frobenius_orbit_degree(a: FieldElement) -> int:
     """Smallest e >= 1 with a^(p^e) = a; the degree of a over GF(p)."""
-    b = a.frobenius()
-    e = 1
-    while b != a:
+    b = a
+    for e in range(1, a.spec.k + 1):
         b = b.frobenius()
-        e += 1
-        if e > a.spec.k:  # pragma: no cover - impossible by field theory
-            raise FieldError("Frobenius orbit did not close")
-    return e
+        if b == a:
+            return e
+    raise FieldError("Frobenius orbit did not close")  # pragma: no cover - impossible by field theory
 
 
 def m_alpha(alpha: FieldElement) -> int:
@@ -527,11 +517,7 @@ def m_alpha(alpha: FieldElement) -> int:
     if not alpha:
         raise FieldError("m(alpha) requires alpha != 0")
     e = frobenius_orbit_degree(alpha)
-    trace, conj = alpha, alpha
-    for _ in range(e - 1):
-        conj = conj.frobenius()
-        trace = trace + conj
-    return 2 * e if trace else e
+    return 2 * e if alpha.trace(e) else e
 
 
 def d_lambda(lam: FieldElement) -> int:

@@ -10,9 +10,9 @@ kernels:
   modular reduction (only pivot row/column are reduced each step; entry
   growth is bounded, so the dtype is chosen once up front);
 * GF(p^k), k >= 2: restriction of scalars -- each entry is replaced by the
-  k x k multiplication matrix of the element over GF(p), and the prime
-  field kernels finish the job (the GF(p)-rank is exactly k times the
-  GF(p^k)-rank).
+  k x k multiplication matrix of the element over GF(p), built once per
+  distinct entry of the matrix, and the prime field kernels finish the
+  job (the GF(p)-rank is exactly k times the GF(p^k)-rank).
 
 A pure-Python elimination over FieldElement values (`rank_generic`) is
 kept as the reference implementation for differential testing.
@@ -24,7 +24,6 @@ degrees of (x^q, y^q, z^q).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -96,15 +95,8 @@ def rank(m: FpkMatrix) -> int:
     if m.nrows == 0 or m.ncols == 0:
         return 0
     field = m.field
-    if field.k == 1:
-        if field.p == 2:
-            return rank_gf2(m.idx != 0)
-        return rank_modp(m.idx, field.p)
-    blown = restrict_scalars(m.idx, field)
-    if field.p == 2:
-        r = rank_gf2(blown != 0)
-    else:
-        r = rank_modp(blown, field.p)
+    mat = m.idx if field.k == 1 else restrict_scalars(m.idx, field)
+    r = rank_gf2(mat != 0) if field.p == 2 else rank_modp(mat, field.p)
     if r % field.k:  # pragma: no cover - mathematically impossible
         raise AssertionError("restriction-of-scalars rank not divisible by k")
     return r // field.k
@@ -193,18 +185,18 @@ def mul_matrix(elem: FieldElement) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _companion_table(field: FieldSpec) -> np.ndarray:
-    """(order, k, k) array: slice e is mul_matrix of the element with index e."""
-    return np.array([mul_matrix(e) for e in field.elements()], dtype=_index_dtype(field.p))
-
-
 def restrict_scalars(idx: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Blow an index matrix over GF(p^k) up to a (km) x (kn) matrix over GF(p)."""
+    """Blow an index matrix over GF(p^k) up to a (km) x (kn) matrix over GF(p).
+
+    Block (i, j) is mul_matrix of entry (i, j); one is built per distinct entry.
+    """
     m, n = idx.shape
     k = field.k
-    table = _companion_table(field)
-    blocks = table[idx]  # (m, n, k, k)
+    values, where = np.unique(idx.ravel(), return_inverse=True)
+    table = np.array(
+        [mul_matrix(field.from_index(int(v))) for v in values], dtype=_index_dtype(field.p)
+    ).reshape(-1, k, k)
+    blocks = table[where.reshape(m, n)]  # (m, n, k, k)
     return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3).reshape(m * k, n * k))
 
 

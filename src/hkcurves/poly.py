@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .gf import FieldElement, FieldSpec
+from .gf import FieldElement, FieldSpec, power
 
 Monomial = tuple[int, int, int]
 
@@ -75,20 +75,10 @@ class Poly:
         mon = tuple(1 if v == name else 0 for v in VARS)
         return cls(spec, {mon: spec.one()})
 
-    @classmethod
-    def monomial(cls, spec: FieldSpec, mon: Monomial, coeff=1) -> "Poly":
-        return cls(spec, {mon: spec.element(coeff)})
-
     # -- structure -----------------------------------------------------------
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def degree(self) -> int | None:
-        """Total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(m) for m in self.terms)
 
     def coefficient(self, mon: Monomial) -> FieldElement:
         return self.terms.get(mon, self.spec.zero())
@@ -119,11 +109,7 @@ class Poly:
         out = dict(self.terms)
         zero = self.spec.zero()
         for mon, c in other.terms.items():
-            s = out.get(mon, zero) + c
-            if s:
-                out[mon] = s
-            else:
-                out.pop(mon, None)
+            out[mon] = out.get(mon, zero) + c
         return Poly(self.spec, out)
 
     def __sub__(self, other) -> "Poly":
@@ -139,11 +125,7 @@ class Poly:
         for (a1, b1, c1), x in self.terms.items():
             for (a2, b2, c2), y in other.terms.items():
                 mon = (a1 + a2, b1 + b2, c1 + c2)
-                s = out.get(mon, zero) + x * y
-                if s:
-                    out[mon] = s
-                else:
-                    out.pop(mon, None)
+                out[mon] = out.get(mon, zero) + x * y
         return Poly(self.spec, out)
 
     __radd__ = __add__
@@ -152,14 +134,20 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise PolyError("negative polynomial power")
-        result = Poly.constant(self.spec, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, Poly.constant(self.spec, 1))
+
+    def substitute(self, images) -> "Poly":
+        """self(images[0], images[1], images[2]); each power of an image is built once."""
+        powers = []
+        for j, image in enumerate(images):
+            row = [Poly.constant(self.spec, 1)]
+            for _ in range(max((m[j] for m in self.terms), default=0)):
+                row.append(row[-1] * image)
+            powers.append(row)
+        out = Poly.zero(self.spec)
+        for (a, b, c), coeff in self.terms.items():
+            out = out + powers[0][a] * powers[1][b] * powers[2][c] * coeff
+        return out
 
     def evaluate(self, point) -> FieldElement:
         px, py, pz = (self.spec.element(v) for v in point)
@@ -335,7 +323,10 @@ class _Parser:
             return Poly.constant(self.spec, int(tok))
         if tok.startswith("["):
             inner = tok[1:-1].strip()
-            coeffs = [int(c) for c in inner.split(",")] if inner else []
+            try:
+                coeffs = [int(c) for c in inner.split(",")] if inner else []
+            except ValueError:
+                raise ParseError(f"bad coefficient list {tok!r}") from None
             return Poly.constant(self.spec, self.spec.element(coeffs))
         raise ParseError(f"unexpected token {tok!r}")
 
@@ -363,22 +354,12 @@ def partial(f: Poly, var: str) -> HomogeneousPoly | None:
     idx = VARS.index(var)
     spec = f.spec
     out: dict[Monomial, FieldElement] = {}
-    for mon, coeff in f.terms.items():
-        e = mon[idx]
-        if e == 0:
-            continue
-        scaled = coeff * spec.element(e)
-        if not scaled:
-            continue
-        new = list(mon)
-        new[idx] = e - 1
-        key = (new[0], new[1], new[2])
-        acc = out.get(key, spec.zero()) + scaled
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    if not out:
+    for mon, coeff in f.terms.items():  # distinct monomials have distinct derivatives
+        if mon[idx]:
+            new = list(mon)
+            new[idx] -= 1
+            out[tuple(new)] = coeff * spec.element(mon[idx])
+    if not any(out.values()):
         return None
     return HomogeneousPoly(spec, out)
 
@@ -399,19 +380,10 @@ def multiplicity_at(f: Poly, point) -> int:
     coords = [c * inv for c in coords]
 
     # substitute var_chart -> 1 and var_j -> var_j + a_j for the others
-    subs: list[Poly] = []
-    for j, name in enumerate(VARS):
-        if j == chart:
-            subs.append(Poly.constant(spec, 1))
-        else:
-            subs.append(Poly.variable(spec, name) + Poly.constant(spec, coords[j]))
-    local = Poly.zero(spec)
-    for mon, coeff in f.terms.items():
-        term = Poly.constant(spec, coeff)
-        for j, e in enumerate(mon):
-            if e:
-                term = term * subs[j] ** e
-        local = local + term
+    local = f.substitute([
+        Poly.constant(spec, 1) if j == chart else Poly.variable(spec, name) + coords[j]
+        for j, name in enumerate(VARS)
+    ])
     if not local:
         raise PolyError("polynomial vanishes identically; multiplicity undefined")
     return min(sum(m) for m in local.terms)

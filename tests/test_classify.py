@@ -113,6 +113,12 @@ class TestEstimateMu:
         with pytest.raises(ClassifyError):
             estimate_mu([HKSample(0, 1, 1), HKSample(1, 5, 55)])
 
+    def test_slack_must_be_nonnegative(self):
+        samples = [HKSample(n, 2**n, 3 * 4**n // 2) for n in range(1, 4)]
+        with pytest.raises(ClassifyError, match="slack"):
+            estimate_mu(samples, K=-1)
+        assert estimate_mu(samples, K=0).radius < estimate_mu(samples, K=1).radius
+
     def test_two_usable_samples_fall_back_to_ratio(self):
         samples = [HKSample(1, 5, 55), HKSample(2, 25, 1449)]
         est = estimate_mu(samples)

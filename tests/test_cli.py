@@ -53,6 +53,13 @@ class TestCompute:
         assert code == 2
         assert "not homogeneous" in err
 
+    @pytest.mark.parametrize("poly", ["[1,]*x^2+z^2", "[1,,0]*x^2+z^2"],
+                             ids=["trailing", "doubled"])
+    def test_empty_coefficient_entry_exits_2(self, capsys, poly):
+        code, out, err = run(["smoothcheck", "--field", "GF(5)", "--poly", poly], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "coefficient list" in err
+
     def test_bad_field_exits_2(self, capsys):
         code, _, _ = run(
             ["compute", "--field", "GF(6)", "--poly", "x", "--nmax", "1"], capsys
@@ -115,6 +122,15 @@ class TestClassify:
         assert data["smoothness"] is False
         assert "timestamp" not in data
         assert "not_semistable" in err
+
+    def test_negative_slack_exits_2(self, capsys):
+        code, _, err = run(
+            ["classify", "--field", "GF(3)", "--poly", "z^4 - x*y*(x+y)*(x+2*y)",
+             "--nmax", "2", "--slack", "-1", "--no-timestamp"],
+            capsys,
+        )
+        assert code == 2
+        assert "slack" in err
 
     def test_ambiguous_is_exit_zero(self, capsys, tmp_path):
         out_json = tmp_path / "report.json"
@@ -244,11 +260,16 @@ class TestSmoothcheck:
         )
         assert code == 0 and out.strip() == "false"
 
-    def test_nodal_cubic_over_gf257_squared(self, capsys):
+    @pytest.mark.parametrize("field, poly", [
         # node at x = [1,256], y = [256,3], z = 1
-        poly = ("[0,256]*x^3 + [3,253]*x^2*z + [8,4]*x*z^2 + y^2*z + [2,251]*y*z^2 "
-                "+ [253,16]*z^3")
-        code, out, _ = run(["smoothcheck", "--field", "GF(257^2)", "--poly", poly], capsys)
+        pytest.param("GF(257^2)", "[0,256]*x^3 + [3,253]*x^2*z + [8,4]*x*z^2 + y^2*z "
+                     "+ [2,251]*y*z^2 + [253,16]*z^3", id="257"),
+        # node at x = [1,502], y = [502,3], z = 1
+        pytest.param("GF(503^2)", "[0,502]*x^3 + [3,499]*x^2*z + [8,501]*x*z^2 + y^2*z "
+                     "+ [2,497]*y*z^2 + [501,10]*z^3", id="503"),
+    ])
+    def test_nodal_cubic_over_p_squared(self, capsys, field, poly):
+        code, out, _ = run(["smoothcheck", "--field", field, "--poly", poly], capsys)
         assert code == 0 and out.strip() == "false"
 
 

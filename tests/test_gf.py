@@ -201,6 +201,22 @@ class TestEmbedding:
                 assert embed(a * b, big) == embed(a, big) * embed(b, big)
                 assert embed(a + b, big) == embed(a, big) + embed(b, big)
 
+    @pytest.mark.parametrize("src, dst", [
+        (FieldSpec(3, 2), FieldSpec(3, 4)),
+        (FieldSpec(5, 2), FieldSpec(5, 4)),
+        (FieldSpec(7, 2), FieldSpec(7, 4)),
+        (FieldSpec(3, 2), FieldSpec(3, 2, modulus=[1, 1, 2])),
+    ], ids=["3^2-3^4", "5^2-5^4", "7^2-7^4", "3^2-3^2"])
+    def test_odd_characteristic_embedding_is_ring_hom(self, src, dst):
+        image = [embed(src.from_index(i), dst) for i in range(src.order)]
+        assert len(set(image)) == src.order
+        assert image[src.one().index()] == dst.one()
+        for i in range(src.order):
+            for j in range(src.order):
+                a, b = src.from_index(i), src.from_index(j)
+                assert image[(a * b).index()] == image[i] * image[j]
+                assert image[(a + b).index()] == image[i] + image[j]
+
     def test_no_embedding_when_degrees_incompatible(self, gf4):
         with pytest.raises(FieldError):
             embed(gf4.gen(), FieldSpec(2, 3))

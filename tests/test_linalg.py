@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hkcurves.gf import FieldSpec
 from hkcurves.linalg import (
     FpkMatrix,
+    mul_matrix,
     order_basis_degrees,
     rank,
     rank_generic,
@@ -115,6 +116,20 @@ class TestKernels:
             blown = restrict_scalars(m.idx, field)
             r_prime = rank_modp(blown, field.p) if field.p != 2 else rank_gf2(blown != 0)
             assert r_prime == field.k * rank(m)
+
+    @pytest.mark.parametrize("field", [FieldSpec(503, 2), FieldSpec(2, 12)],
+                             ids=["503^2", "2^12"])
+    def test_restrict_scalars_matches_mul_matrix_blocks(self, field):
+        rng = np.random.default_rng(5)
+        k = field.k
+        idx = rng.integers(0, field.order, size=(5, 7))
+        idx[1] = idx[0]  # repeated entries share one table slot
+        blown = restrict_scalars(idx, field)
+        assert blown.shape == (5 * k, 7 * k)
+        for i in range(5):
+            for j in range(7):
+                block = blown[i * k:(i + 1) * k, j * k:(j + 1) * k]
+                assert np.array_equal(block, mul_matrix(field.from_index(int(idx[i, j]))))
 
     def test_entry_growth_stays_exact_for_larger_p(self):
         # p large enough that lazy reduction would overflow a narrow dtype
