@@ -104,6 +104,8 @@ def _resolve_smooth(mode: str, curve: PlaneCurve) -> bool | None:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    if args.slack < 0:  # before any sample is computed or cached
+        raise ClassifyError(f"the slack K must be >= 0, got {args.slack}")
     spec = parse_field(args.field)
     f = parse_poly(args.poly, spec)
     curve = PlaneCurve(f, irreducible_asserted=not args.not_irreducible)

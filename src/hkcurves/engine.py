@@ -27,15 +27,14 @@ the curve to [0:0:1], else moved to GF(p^(2k)): linear changes of
 coordinates keep (x^q, y^q, z^q), the Frobenius power of the maximal
 ideal, and field extension keeps dimensions.
 
-Only over a prime field (k = 1) does `colength` still eliminate blocks of
-at most DENSE_CELL_LIMIT cells densely.  Over GF(p^k), k >= 2, dense
-elimination restricts scalars, making each block k^2 times larger, while
-one syzygy_degrees(f, q) answers every block of the sample.  k = 1 is not
-routed yet because perfbench keeps each command's output until a run ends:
-a faster prime-field path runs more passes there and reads as more memory.
-`block_rank(f, n, q, "dense")` stays the per-block reference of the tests
-for every k.  `colength_naive` is the grading-free oracle:
-one rank of the full q^3 x q^3 multiplication matrix.  It, the graded
+`colength` picks dense elimination or one syzygy_degrees(f, q) per sample:
+dense only over GF(p) when its largest block has at most DENSE_CELL_LIMIT
+cells (over GF(p^k) restriction of scalars makes each block k^2 times
+larger).  Small prime-field samples stay dense because perfbench keeps
+each command's output until a run ends, so a faster path runs more passes
+and reads as more memory.  `block_rank(f, n, q, "dense")` stays the per-block
+reference of the tests for every k.  `colength_naive` is the grading-free
+oracle: one rank of the full q^3 x q^3 multiplication matrix.  It, the graded
 blocks and `smooth_check` build their matrices with `_multiplication_matrix`.
 """
 
@@ -58,7 +57,7 @@ from .poly import HomogeneousPoly, Monomial, PlaneCurve, Poly, partial
 
 log = logging.getLogger(__name__)
 
-# blocks with at most this many cells are eliminated densely
+# a prime-field sample whose largest block has at most this many cells goes dense
 DENSE_CELL_LIMIT = 250_000
 
 # naive-oracle guards, keyed by characteristic
@@ -141,21 +140,19 @@ def graded_block(f: HomogeneousPoly, n: int, q: int) -> FpkMatrix:
     return _multiplication_matrix(f, truncated_basis(n, q), truncated_basis(n + f.d, q))
 
 
-def block_rank(f: HomogeneousPoly, n: int, q: int, method: str = "auto") -> int:
-    """Rank of the degree-n graded block; `method` in {auto, dense, staircase}.
+def block_rank(f: HomogeneousPoly, n: int, q: int, method: str) -> int:
+    """Rank of the degree-n graded block; `method` in {dense, staircase}.
 
     `dense` eliminates the block; `staircase` reads the rank off the syzygy
-    degrees of (x^q, y^q, z^q); `auto` takes `dense` up to DENSE_CELL_LIMIT
-    cells.  `colength` passes `staircase` over GF(p^k), k >= 2, so there
-    `auto` only runs for k = 1 samples.
+    degrees of (x^q, y^q, z^q).  `colength` picks one method per sample.
     """
     n_dom = truncated_count(n, q)
     n_cod = truncated_count(n + f.d, q)
     if n_dom == 0 or n_cod == 0:
         return 0
-    if method == "dense" or (method == "auto" and n_dom * n_cod <= DENSE_CELL_LIMIT):
+    if method == "dense":
         return graded_block(f, n, q).rank()
-    if method not in ("auto", "staircase"):
+    if method != "staircase":
         raise ValueError(f"unknown block rank method {method!r}")
     return n_cod - _syzygy_hilbert(f, q, n + f.d)
 
@@ -269,28 +266,21 @@ def colength(f: HomogeneousPoly, q: int) -> HKSample:
     """len(S/(f, x^q, y^q, z^q)) as an exact integer, q a power of char.
 
     Equals q^3 minus the summed ranks of the graded multiplication-by-f
-    blocks for 0 <= n <= 3(q-1) - d; 0 for a constant f.  Blocks are
-    eliminated densely over GF(p) only: see the module docstring for why.
+    blocks for 0 <= n <= 3(q-1) - d; 0 for a constant f.  All blocks of a
+    sample are ranked one way, chosen per sample: see the module docstring.
     """
     n_frob = _validate_q(f.spec, q)
     d = f.d
     if d == 0:  # f is a unit
         return HKSample(n_frob, q, 0)
-    method = "staircase" if f.spec.k > 1 else "auto"
     j_max = 3 * (q - 1)
-    total = 0
-    j = 0
+    mid = (j_max - d) // 2  # the degree of the largest block
+    large = f.spec.k > 1 or truncated_count(mid, q) * truncated_count(mid + d, q) > DENSE_CELL_LIMIT
+    method = "staircase" if large else "dense"
     # closed-form zone: either no map lands in degree j, or the block is the
     # untruncated multiplication map, which is injective
-    while j <= j_max:
-        if j < d:
-            total += truncated_count(j, q)
-        elif j < q:
-            total += truncated_count(j, q) - truncated_count(j - d, q)
-        else:
-            break
-        j += 1
-
+    j = min(max(d, q), j_max + 1)
+    total = sum(truncated_count(i, q) - truncated_count(i - d, q) for i in range(j))
     while j <= j_max:
         dim_q = truncated_count(j, q) - block_rank(f, j - d, q, method)
         if dim_q < 0:  # pragma: no cover - internal sanity

@@ -8,7 +8,8 @@ kernels:
   fast path that carries the characteristic-2 workload;
 * GF(p), p odd: integer elimination with outer-product updates and lazy
   modular reduction (only pivot row/column are reduced each step; entry
-  growth is bounded, so the dtype is chosen once up front);
+  growth is bounded, so the dtype is chosen once up front; a pivot
+  updates only the rows that change);
 * GF(p^k), k >= 2: restriction of scalars -- each entry is replaced by the
   k x k multiplication matrix of the element over GF(p), built once per
   distinct entry of the matrix, and the prime field kernels finish the
@@ -145,7 +146,7 @@ def rank_modp(mat: np.ndarray, p: int) -> int:
     Entries grow between reductions; only the pivot row and column are
     reduced mod p at each step, and the dtype is sized so the accumulated
     magnitude (p-1) + min(m,n)*(p-1)^2 never overflows: past int64 the
-    entries are Python integers.
+    entries are Python integers.  Only rows nonzero in the pivot column change.
     """
     m, n = mat.shape
     if m == 0 or n == 0:
@@ -163,10 +164,10 @@ def rank_modp(mat: np.ndarray, p: int) -> int:
             work[[r, piv]] = work[[piv, r]]
         row = work[r, c:]
         np.remainder(row, p, out=row)
-        inv = pow(int(work[r, c]), p - 2, p)
-        fac = work[r + 1:, c] * inv % p
-        if fac.size and n - c > 1:
-            work[r + 1:, c + 1:] -= fac[:, None] * work[r, c + 1:][None, :]
+        rows = r + 1 + np.flatnonzero(work[r + 1:, c])
+        if rows.size and n - c > 1:
+            fac = work[rows, c] * pow(int(work[r, c]), p - 2, p) % p
+            work[rows, c + 1:] -= fac[:, None] * work[r, c + 1:][None, :]
         r += 1
         if r == m:
             break

@@ -132,6 +132,21 @@ class TestClassify:
         assert code == 2
         assert "slack" in err
 
+    def test_negative_slack_is_rejected_before_any_sample(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample was computed for a rejected slack")
+
+        monkeypatch.setattr(cli, "hk_sequence", refuse)
+        cache = tmp_path / "cache.jsonl"
+        code, _, err = run(
+            ["classify", "--field", "GF(3)", "--poly", "z^4 - x*y*(x+y)*(x+2*y)",
+             "--nmax", "6", "--slack", "-1", "--cache", str(cache), "--no-timestamp"],
+            capsys,
+        )
+        assert code == 2
+        assert "slack" in err
+        assert not cache.exists()
+
     def test_ambiguous_is_exit_zero(self, capsys, tmp_path):
         out_json = tmp_path / "report.json"
         code, _, err = run(

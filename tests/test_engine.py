@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hkcurves import engine
 from hkcurves.engine import (
+    DENSE_CELL_LIMIT,
     EngineError,
     HKSample,
     ResourceLimitError,
@@ -247,6 +248,55 @@ class TestStructuralInvariants:
                 assert not got
             else:
                 assert got == want
+
+
+def block_cells(n, d, q):
+    """Cells of the degree-n block of a degree-d form."""
+    return truncated_count(n, q) * truncated_count(n + d, q)
+
+
+def prime_powers(limit):
+    primes = [p for p in range(2, limit + 1) if all(p % r for r in range(2, p))]
+    return sorted(p ** e for p in primes for e in range(1, limit.bit_length()) if p ** e <= limit)
+
+
+class TestPerSampleRouting:
+    """A prime-field sample is ranked densely or from its syzygy degrees as a whole."""
+
+    def test_large_samples_build_no_graded_block(self, monsky3_f2, monsky2_g1, monkeypatch):
+        cases = [(monsky3_f2, 27, 2268), (monsky2_g1, 32, 3136)]
+        for f, q, _ in cases:
+            # the blocks colength ranks fall on both sides of the limit
+            cells = [block_cells(n, f.d, q) for n in range(q - f.d, 3 * (q - 1) - f.d + 1)]
+            assert min(c for c in cells if c) <= DENSE_CELL_LIMIT < max(cells)
+
+        def refuse(*args):
+            raise AssertionError("dense block built for a sample with a large block")
+
+        monkeypatch.setattr(engine, "graded_block", refuse)
+        for f, q, want in cases:
+            assert colength(f, q).colength == want
+
+    def test_small_sample_stays_dense(self, nodal_cubic, monkeypatch):
+        q = 25
+        mid = (3 * (q - 1) - nodal_cubic.d) // 2
+        assert block_cells(mid, nodal_cubic.d, q) == 217_620 <= DENSE_CELL_LIMIT
+
+        def refuse(*args):
+            raise AssertionError("syzygy degrees computed for a sample with small blocks")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(engine, "syzygy_degrees", refuse)
+            dense = colength(nodal_cubic, q).colength
+        assert dense == colength_by_blocks(nodal_cubic, q, "staircase") == 1449
+
+    def test_middle_block_is_the_largest(self):
+        for q in prime_powers(256):
+            for d in range(1, 12):
+                j_max = 3 * (q - 1)
+                largest = max((block_cells(n, d, q) for n in range(j_max - d + 1)), default=0)
+                mid = (j_max - d) // 2
+                assert block_cells(mid, d, q) == largest, (q, d)
 
 
 class TestHKSequence:

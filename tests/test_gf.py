@@ -223,6 +223,6 @@ class TestEmbedding:
 
     def test_large_target_uses_splitting(self):
         src = FieldSpec(2, 8)
-        dst = FieldSpec(2, 16)  # order above the brute-force cutoff
+        dst = FieldSpec(2, 16)  # order 65536: the root is found by equal-degree splitting
         img = embed(src.gen(), dst)
         assert frobenius_orbit_degree(img) == 8

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hkcurves.gf import FieldSpec
 from hkcurves.linalg import (
     FpkMatrix,
+    _elim_dtype,
     mul_matrix,
     order_basis_degrees,
     rank,
@@ -191,3 +192,46 @@ class TestOrderBasis:
         series[0, 0, 0] = series[1, 0, 0] = 1
         series[0, 1, 0] = 1
         assert sorted(order_basis_degrees(series, [0, 0], 2)) == [1, 2]
+
+
+def sparse_matrix(p: int, nrows: int, ncols: int, density: float, rng) -> np.ndarray:
+    """Entries nonzero with probability `density`, uniform in 1..p-1."""
+    mask = rng.random((nrows, ncols)) < density
+    return np.where(mask, rng.integers(1, p, size=(nrows, ncols)), 0)
+
+
+class TestSparseRowUpdate:
+    """rank_modp updates only the rows with a nonzero entry in the pivot column."""
+
+    # p = 101 runs the int32 elimination dtype on every shape below
+    @pytest.mark.parametrize("p", [3, 5, 7, 101])
+    def test_random_sparse_matches_generic(self, p):
+        rng = np.random.default_rng(p)
+        field = FieldSpec(p)
+        for density in (0.05, 0.15, 0.4):
+            for _ in range(4):
+                m, n = (int(v) for v in rng.integers(4, 25, size=2))
+                assert (_elim_dtype(p, min(m, n)) is np.int32) == (p == 101)
+                full = sparse_matrix(p, m, n, density, rng)
+                inner = min(m, n) - 2  # a product through it has rank at most inner
+                low = sparse_matrix(p, m, inner, 2 * density, rng) @ \
+                    sparse_matrix(p, inner, n, 2 * density, rng) % p
+                for mat in (full, low):
+                    assert rank_modp(mat, p) == rank_generic(FpkMatrix(field, mat))
+                assert rank_modp(low, p) <= inner
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 101])
+    def test_columns_with_nonzeros_only_above_the_pivot_row(self, p):
+        # [[U, X], [0, Y]], U unit upper triangular: after the k pivots of U,
+        # each zero column of Y has its nonzeros only above the pivot row
+        rng = np.random.default_rng(p)
+        field = FieldSpec(p)
+        k, m, n = 6, 9, 8
+        upper = np.triu(sparse_matrix(p, k, k, 0.5, rng), 1) + np.eye(k, dtype=np.int64)
+        x = rng.integers(1, p, size=(k, n))
+        y = sparse_matrix(p, m, n, 0.5, rng)
+        y[:, ::2] = 0
+        y[-1] = (2 * y[0] + y[1]) % p  # rank-deficient
+        mat = np.block([[upper, x], [np.zeros((m, k), dtype=np.int64), y]])
+        want = k + rank_generic(FpkMatrix(field, y))
+        assert rank_modp(mat, p) == rank_generic(FpkMatrix(field, mat)) == want
