@@ -41,7 +41,7 @@ from .gf import (
     m_alpha,
     parse_field,
 )
-from .linalg import FpkMatrix, rank, rank_generic
+from .linalg import rank, rank_generic
 from .poly import (
     HomogeneousPoly,
     Monomial,
@@ -58,7 +58,7 @@ __all__ = [
     "frobenius_orbit_degree", "m_alpha", "d_lambda",
     "Poly", "HomogeneousPoly", "PlaneCurve", "Monomial",
     "parse_poly", "partial", "multiplicity_at",
-    "FpkMatrix", "rank", "rank_generic",
+    "rank", "rank_generic",
     "HKSample", "SampleCache",
     "truncated_basis", "truncated_count", "graded_block",
     "colength", "colength_naive", "hk_sequence", "smooth_check",

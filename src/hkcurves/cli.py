@@ -53,9 +53,9 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _add_common(sub: argparse.ArgumentParser, poly_required: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--field", required=True, help='field spec, e.g. "GF(2)" or "GF(2^2; modulus=1,1,1)"')
-    sub.add_argument("--poly", required=poly_required, help="homogeneous polynomial in x, y, z")
+    sub.add_argument("--poly", required=True, help="homogeneous polynomial in x, y, z")
     sub.add_argument("--threads", type=int, default=None, help="accepted for compatibility; no effect")
 
 
@@ -91,8 +91,8 @@ def _plot_csv(samples, d: int, p: int, n_max: int) -> str:
     for s in samples:
         if s.n >= 1:
             lines.append(f"sample,{s.q},{s.colength / s.q**2!r},")
-    s_cut = max(1, n_max)
-    for c in candidate_set(d, p, s_cut):
+    # a form of degree <= 1 has no candidates: classification needs d > 1
+    for c in candidate_set(d, p, max(1, n_max)) if d > 1 else []:
         lines.append(f"candidate,,{float(c.mu)!r},{c.describe()}")
     return "\n".join(lines) + "\n"
 

@@ -4,13 +4,13 @@ Computes HK(q) = len(S/(f, x^q, y^q, z^q)) for S = GF(p^k)[x, y, z] and
 q = p^n.  The quotient splits along the grading: writing T(j) for the
 number of degree-j monomials with all exponents < q, the degree-j piece
 has dimension T(j) - rank(B_{j-d}), B_n being multiplication by f from the
-truncated degree-n piece to the truncated degree-(n+d) piece.  `colength`
-sums the pieces, in closed form below q (B_n is injective there) and up
-to the first zero piece (the quotient is generated in degree 1).
+truncated degree-n piece to the truncated degree-(n+d) piece.  The dense
+route sums the pieces, in closed form below q (B_n is injective there)
+and up to the first zero piece (the quotient is generated in degree 1).
 
-Large blocks are ranked from syzygy degrees.  For f monic in z, S/(f) is
-free over A = k[x, y] on 1, z, ..., z^(d-1), and the quotient is the
-cokernel of [x^q I | y^q I | M_q] : A^(3d) -> A^d, column j of M_q being
+The syzygy route reads HK(q) off one list of degrees.  For f monic in z,
+S/(f) is free over A = k[x, y] on 1, z, ..., z^(d-1), and the quotient is
+the cokernel of [x^q I | y^q I | M_q] : A^(3d) -> A^d, column j of M_q being
 z^(q+j) mod f.  The kernel Syz(x^q, y^q, z^q) is free on 2d generators of
 degrees b, so with C(m) = max(m+1, 0) = dim A_m the degree-j piece has
 dimension
@@ -27,15 +27,15 @@ the curve to [0:0:1], else moved to GF(p^(2k)): linear changes of
 coordinates keep (x^q, y^q, z^q), the Frobenius power of the maximal
 ideal, and field extension keeps dimensions.
 
-`colength` picks dense elimination or one syzygy_degrees(f, q) per sample:
-dense only over GF(p) when its largest block has at most DENSE_CELL_LIMIT
-cells (over GF(p^k) restriction of scalars makes each block k^2 times
-larger).  Small prime-field samples stay dense because perfbench keeps
-each command's output until a run ends, so a faster path runs more passes
-and reads as more memory.  `block_rank(f, n, q, "dense")` stays the per-block
-reference of the tests for every k.  `colength_naive` is the grading-free
-oracle: one rank of the full q^3 x q^3 multiplication matrix.  It, the graded
-blocks and `smooth_check` build their matrices with `_multiplication_matrix`.
+`colength` takes one of two routes per sample.  Over GF(p^k), k > 1, or
+when the middle (largest) block has more than DENSE_CELL_LIMIT cells, it
+returns the formula above from one syzygy_degrees(f, q) call.  Otherwise
+it ranks the blocks densely (`block_rank`).  Small prime-field samples
+stay dense because perfbench keeps each command's output until a run
+ends, so a faster path runs more passes and reads as more memory.
+`colength_naive` is the grading-free oracle: one rank of the full
+q^3 x q^3 multiplication matrix.  It, the graded blocks and `smooth_check`
+build their index arrays with `_multiplication_matrix`.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Iterable
 import numpy as np
 
 from .gf import FieldSpec, embed
-from .linalg import FpkMatrix, mul_matrix, order_basis_degrees
+from .linalg import _index_dtype, mul_matrix, order_basis_degrees, rank
 from .poly import HomogeneousPoly, Monomial, PlaneCurve, Poly, partial
 
 log = logging.getLogger(__name__)
@@ -118,43 +118,38 @@ def truncated_count(n: int, q: int) -> int:
 
 def _multiplication_matrix(
     g: HomogeneousPoly, domain: list[Monomial], codomain: list[Monomial]
-) -> FpkMatrix:
+) -> np.ndarray:
     """Multiplication by g from span(domain) to span(codomain), |codomain| x |domain|.
 
-    Products that fall outside `codomain` are dropped: that is the
-    truncation by (x^q, y^q, z^q) when `codomain` is a truncated basis.
+    Entries are element indices.  Products that fall outside `codomain` are
+    dropped: that is the truncation by (x^q, y^q, z^q) when `codomain` is a
+    truncated basis.
     """
-    mat = FpkMatrix.zeros(g.spec, len(codomain), len(domain))
+    mat = np.zeros((len(codomain), len(domain)), dtype=_index_dtype(g.spec.order))
     row_of = {mu: i for i, mu in enumerate(codomain)}
     terms = [(t, coeff.index()) for t, coeff in g.terms.items()]
     for col, m in enumerate(domain):
         for t, index in terms:
             row = row_of.get((m[0] + t[0], m[1] + t[1], m[2] + t[2]))
             if row is not None:
-                mat.idx[row, col] = index
+                mat[row, col] = index
     return mat
 
 
-def graded_block(f: HomogeneousPoly, n: int, q: int) -> FpkMatrix:
+def graded_block(f: HomogeneousPoly, n: int, q: int) -> np.ndarray:
     """Block n, multiplication by f from truncated_basis(n, q) to truncated_basis(n + d, q)."""
     return _multiplication_matrix(f, truncated_basis(n, q), truncated_basis(n + f.d, q))
 
 
 def block_rank(f: HomogeneousPoly, n: int, q: int, method: str) -> int:
-    """Rank of the degree-n graded block; `method` in {dense, staircase}.
+    """Rank of the degree-n graded block by dense elimination.
 
-    `dense` eliminates the block; `staircase` reads the rank off the syzygy
-    degrees of (x^q, y^q, z^q).  `colength` picks one method per sample.
+    `method` must be "dense": the syzygy route computes no block.  The
+    parameter stays because perfbench's tracer counts dense blocks by it.
     """
-    n_dom = truncated_count(n, q)
-    n_cod = truncated_count(n + f.d, q)
-    if n_dom == 0 or n_cod == 0:
-        return 0
-    if method == "dense":
-        return graded_block(f, n, q).rank()
-    if method != "staircase":
+    if method != "dense":
         raise ValueError(f"unknown block rank method {method!r}")
-    return n_cod - _syzygy_hilbert(f, q, n + f.d)
+    return rank(graded_block(f, n, q), f.spec)
 
 
 def _coordinate_changes(f: HomogeneousPoly):
@@ -220,11 +215,10 @@ def _syzygy_series(g: HomogeneousPoly, q: int) -> np.ndarray:
     return series
 
 
-@lru_cache(maxsize=1)
 def syzygy_degrees(f: HomogeneousPoly, q: int) -> tuple[int, ...]:
     """Generator degrees b_1 <= ... <= b_2d of Syz_R(x^q, y^q, z^q) over k[x, y].
 
-    Remembers the last (f, q): the block loop of `colength` asks once per block.
+    Read off one order basis over GF(p)[x]; see the module docstring.
     """
     _validate_q(f.spec, q)
     if f.d == 0:
@@ -237,15 +231,6 @@ def syzygy_degrees(f: HomogeneousPoly, q: int) -> tuple[int, ...]:
     if degs != sorted(b * k):  # pragma: no cover - restriction of scalars repeats each degree k times
         raise AssertionError("restricted syzygy degrees are not k-fold")
     return tuple(b)
-
-
-def _syzygy_hilbert(f: HomogeneousPoly, q: int, j: int) -> int:
-    """dim of the degree-j piece of S/(f, x^q, y^q, z^q), from the syzygy degrees."""
-    def c(m: int) -> int:
-        return max(m + 1, 0)
-
-    gens = sum(c(j - i) - 3 * c(j - q - i) for i in range(f.d))
-    return gens + sum(c(j - b) for b in syzygy_degrees(f, q))
 
 
 def _validate_q(spec: FieldSpec, q: int) -> int:
@@ -265,9 +250,10 @@ def _validate_q(spec: FieldSpec, q: int) -> int:
 def colength(f: HomogeneousPoly, q: int) -> HKSample:
     """len(S/(f, x^q, y^q, z^q)) as an exact integer, q a power of char.
 
-    Equals q^3 minus the summed ranks of the graded multiplication-by-f
-    blocks for 0 <= n <= 3(q-1) - d; 0 for a constant f.  All blocks of a
-    sample are ranked one way, chosen per sample: see the module docstring.
+    0 for a constant f.  On the syzygy route (see the module docstring) it
+    is (sum j^2 - 3 sum (q+j)^2 + sum b^2) / 2 over j < d and the syzygy
+    degrees b; on the dense route, q^3 minus the summed ranks of the graded
+    multiplication-by-f blocks for 0 <= n <= 3(q-1) - d.
     """
     n_frob = _validate_q(f.spec, q)
     d = f.d
@@ -275,14 +261,15 @@ def colength(f: HomogeneousPoly, q: int) -> HKSample:
         return HKSample(n_frob, q, 0)
     j_max = 3 * (q - 1)
     mid = (j_max - d) // 2  # the degree of the largest block
-    large = f.spec.k > 1 or truncated_count(mid, q) * truncated_count(mid + d, q) > DENSE_CELL_LIMIT
-    method = "staircase" if large else "dense"
+    if f.spec.k > 1 or truncated_count(mid, q) * truncated_count(mid + d, q) > DENSE_CELL_LIMIT:
+        closed = sum(j * j - 3 * (q + j) ** 2 for j in range(d))
+        return HKSample(n_frob, q, (closed + sum(b * b for b in syzygy_degrees(f, q))) // 2)
     # closed-form zone: either no map lands in degree j, or the block is the
     # untruncated multiplication map, which is injective
     j = min(max(d, q), j_max + 1)
     total = sum(truncated_count(i, q) - truncated_count(i - d, q) for i in range(j))
     while j <= j_max:
-        dim_q = truncated_count(j, q) - block_rank(f, j - d, q, method)
+        dim_q = truncated_count(j, q) - block_rank(f, j - d, q, "dense")
         if dim_q < 0:  # pragma: no cover - internal sanity
             raise AssertionError("block rank exceeded codomain dimension")
         if dim_q == 0:
@@ -312,7 +299,7 @@ def colength_naive(f: HomogeneousPoly, q: int) -> HKSample:
             f"naive oracle refuses q = {q} > cutoff {cutoff} for p = {spec.p}"
         )
     basis = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)]
-    return HKSample(n_frob, q, len(basis) - _multiplication_matrix(f, basis, basis).rank())
+    return HKSample(n_frob, q, len(basis) - rank(_multiplication_matrix(f, basis, basis), spec))
 
 
 def hk_sequence(
@@ -365,10 +352,10 @@ def smooth_check(curve: PlaneCurve) -> bool:
     target = truncated_basis(big_n, big_n + 1)  # every monomial of degree N
     gens = [f] + [g for g in (partial(f, v) for v in ("x", "y", "z")) if g is not None]
     blocks = [
-        _multiplication_matrix(g, truncated_basis(big_n - g.d, big_n + 1), target).idx
+        _multiplication_matrix(g, truncated_basis(big_n - g.d, big_n + 1), target)
         for g in gens
     ]
-    return FpkMatrix(f.spec, np.hstack(blocks)).rank() == len(target)
+    return rank(np.hstack(blocks), f.spec) == len(target)
 
 
 # ---------------------------------------------------------------------------

@@ -337,9 +337,6 @@ class FieldElement:
         # a^(p^k - 2); extension degrees are small, repeated squaring is fine
         return self ** (self.spec.order - 2)
 
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self * other.inverse()
-
     def __bool__(self) -> bool:
         return any(self.coeffs)
 

@@ -1,8 +1,8 @@
 """Exact matrix rank over GF(p^k).
 
-Matrices store element *indices* (the base-p encoding of coefficient
-vectors) in a dense numpy array.  Rank dispatches to one of three exact
-kernels:
+A matrix is a plain 2-d numpy array of element *indices* (the base-p
+encoding of coefficient vectors), passed with its field.  Rank dispatches
+to one of three exact kernels:
 
 * GF(2): rows packed into bytes, elimination by vectorized XOR -- the
   fast path that carries the characteristic-2 workload;
@@ -40,63 +40,11 @@ def _index_dtype(order: int):
     return np.int64
 
 
-class FpkMatrix:
-    """Dense matrix over GF(p^k), entries stored as element indices."""
-
-    __slots__ = ("field", "idx")
-
-    def __init__(self, field: FieldSpec, idx: np.ndarray):
-        if idx.ndim != 2:
-            raise ValueError("matrix data must be 2-dimensional")
-        self.field = field
-        self.idx = idx
-
-    @property
-    def nrows(self) -> int:
-        return self.idx.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self.idx.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.idx.shape
-
-    @classmethod
-    def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "FpkMatrix":
-        return cls(field, np.zeros((nrows, ncols), dtype=_index_dtype(field.order)))
-
-    def get(self, i: int, j: int) -> FieldElement:
-        return self.field.from_index(int(self.idx[i, j]))
-
-    def set(self, i: int, j: int, e: FieldElement) -> None:
-        self.idx[i, j] = e.index()
-
-    def transpose(self) -> "FpkMatrix":
-        return FpkMatrix(self.field, self.idx.T.copy())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FpkMatrix)
-            and self.field == other.field
-            and self.idx.shape == other.idx.shape
-            and bool(np.array_equal(self.idx, other.idx))
-        )
-
-    def __repr__(self) -> str:
-        return f"FpkMatrix({self.nrows}x{self.ncols} over {self.field})"
-
-    def rank(self) -> int:
-        return rank(self)
-
-
-def rank(m: FpkMatrix) -> int:
-    """Exact rank over GF(p^k); 0 for empty shapes."""
-    if m.nrows == 0 or m.ncols == 0:
+def rank(idx: np.ndarray, field: FieldSpec) -> int:
+    """Exact rank over `field` of a 2-d array of element indices; 0 for empty shapes."""
+    if idx.size == 0:
         return 0
-    field = m.field
-    mat = m.idx if field.k == 1 else restrict_scalars(m.idx, field)
+    mat = idx if field.k == 1 else restrict_scalars(idx, field)
     r = rank_gf2(mat != 0) if field.p == 2 else rank_modp(mat, field.p)
     if r % field.k:  # pragma: no cover - mathematically impossible
         raise AssertionError("restriction-of-scalars rank not divisible by k")
@@ -240,16 +188,15 @@ def order_basis_degrees(series: np.ndarray, shifts: Sequence[int], p: int) -> li
     return deg
 
 
-def rank_generic(m: FpkMatrix) -> int:
+def rank_generic(idx: np.ndarray, field: FieldSpec) -> int:
     """Reference Gaussian elimination on FieldElement values.
 
     Partial pivoting means "first nonzero entry" -- there is no magnitude
     to compare in exact arithmetic.  Quadratic-ish Python speed; meant for
     cross-checking the packed kernels, not production sizes.
     """
-    field = m.field
-    rows = [[m.get(i, j) for j in range(m.ncols)] for i in range(m.nrows)]
-    nrows, ncols = m.nrows, m.ncols
+    rows = [[field.from_index(int(v)) for v in row] for row in idx]
+    nrows, ncols = idx.shape
     r = 0
     for c in range(ncols):
         piv = next((i for i in range(r, nrows) if rows[i][c]), None)
@@ -270,7 +217,6 @@ def rank_generic(m: FpkMatrix) -> int:
 
 
 __all__ = [
-    "FpkMatrix",
     "rank",
     "rank_gf2",
     "rank_modp",

@@ -104,6 +104,18 @@ class TestCompute:
         assert any(line.startswith("sample,5,") for line in lines)
         assert any(line.startswith("candidate,") for line in lines)
 
+    @pytest.mark.parametrize("poly,ratio", [("x", 1.0), ("1", 0.0)])
+    def test_plot_csv_without_candidates(self, capsys, tmp_path, poly, ratio):
+        # a form of degree <= 1 has no classification candidates
+        plot = tmp_path / "plot.csv"
+        code, out, err = run(
+            ["compute", "--field", "GF(2)", "--poly", poly, "--nmax", "2", "--plot-csv", str(plot)],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("n,q,colength\n")
+        assert plot.read_text() == f"kind,x,y,label\nsample,2,{ratio!r},\nsample,4,{ratio!r},\n"
+
 
 class TestClassify:
     def test_nodal_cubic_report(self, capsys, tmp_path):

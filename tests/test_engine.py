@@ -27,7 +27,7 @@ from hkcurves.engine import (
 from hkcurves.gf import FieldSpec
 from hkcurves.poly import PlaneCurve, parse_poly
 
-FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(5)]
+FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(5), FieldSpec(2, 3)]
 
 # no shear over GF(2) makes it monic in z: it passes through every GF(2)-point
 ALL_POINTS_CUBIC = "x^2*y + x*y^2 + x^2*z + x*z^2 + y^2*z + y*z^2"
@@ -128,7 +128,24 @@ class TestOracleEquivalence:
         # the per-characteristic cutoffs (8, 9, 5) are themselves powers of p,
         # so the largest admissible oracle size is always a valid q
         cutoff = {2: 8, 3: 9}.get(f.spec.p, 5)
-        assert colength(f, cutoff).colength == colength_naive(f, cutoff).colength
+        want = colength_naive(f, cutoff).colength
+        assert colength(f, cutoff).colength == want
+        # and once more with every sample on the syzygy route
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(engine, "DENSE_CELL_LIMIT", 0)
+            assert colength(f, cutoff).colength == want
+
+    @pytest.mark.parametrize("text", [
+        "x^5 + y^5 + z^5 + [1,0]*x^2*y^2*z",
+        "x^4*y + y^4*z + z^4*x + [0,1]*x^3*z^2",
+        "z^6 + x*y*(x^4 + [1,1]*y^4) + x^3*y^2*z",
+    ])
+    def test_formula_at_q1_and_below_the_degree(self, gf4, text):
+        # over GF(4) every sample takes the syzygy route; q = 1 and d > q
+        # are the edge cases of the formula
+        f = parse_poly(text, gf4)
+        for q in (1, 2, 4, 8):
+            assert colength(f, q).colength == colength_naive(f, q).colength
 
     def test_oracle_cutoff_guard(self, monsky2_g1):
         with pytest.raises(ResourceLimitError):
@@ -170,8 +187,8 @@ class TestStructuralInvariants:
         seq = hk_sequence(monsky3_f2, 3)
         assert [s.colength for s in seq] == [1, 27, 252, 2268]
 
-    def test_staircase_agrees_with_dense_blocks(self, monsky2_g1, nodal_cubic, monsky3_f2,
-                                                gf2, gf4, gf9):
+    def test_formula_agrees_with_dense_blocks(self, monsky2_g1, nodal_cubic, monsky3_f2,
+                                              gf2, gf4, gf9, monkeypatch):
         cases = [
             (monsky2_g1, 8),
             (nodal_cubic, 5),
@@ -184,15 +201,25 @@ class TestStructuralInvariants:
             # vanishes on all of P^2(GF(2)): needs the shear over GF(4)
             (parse_poly(ALL_POINTS_CUBIC, gf2), 8),
         ]
-        for f, q in cases:
-            for n in range(0, 3 * (q - 1) - f.d + 1):
-                assert block_rank(f, n, q, "staircase") == block_rank(f, n, q, "dense")
+        monkeypatch.setattr(engine, "DENSE_CELL_LIMIT", 0)  # every sample on the formula
+        for f, q_max in cases:
+            q = 1
+            while q <= q_max:
+                want = colength_naive(f, q).colength
+                assert colength(f, q).colength == colength_by_blocks(f, q, "dense") == want
+                q *= f.spec.p
 
-    def test_form_through_every_rational_point(self, gf2):
+    def test_form_through_every_rational_point(self, gf2, monkeypatch):
         f = parse_poly(ALL_POINTS_CUBIC, gf2)
-        for q, want in ((2, 8), (4, 40), (8, 176)):
-            assert colength_by_blocks(f, q, "staircase") == want
+        monkeypatch.setattr(engine, "DENSE_CELL_LIMIT", 0)  # every sample on the formula
+        for q, want in ((1, 1), (2, 8), (4, 40), (8, 176)):
+            assert colength(f, q).colength == want
+            assert colength_by_blocks(f, q, "dense") == want
             assert colength_naive(f, q).colength == want
+
+    def test_block_rank_is_dense_only(self, monsky2_g1):
+        with pytest.raises(ValueError):
+            block_rank(monsky2_g1, 3, 4, "staircase")
 
     def test_large_extension_field(self, gf2):
         # k = 11: a field of order 2048
@@ -243,7 +270,7 @@ class TestStructuralInvariants:
         for i, mu in enumerate(cod):
             t = (mu[0] - m[0], mu[1] - m[1], mu[2] - m[2])
             want = monsky2_g1.terms.get(t)
-            got = blk.get(i, 0)
+            got = monsky2_g1.spec.from_index(int(blk[i, 0]))
             if want is None:
                 assert not got
             else:
@@ -287,8 +314,10 @@ class TestPerSampleRouting:
 
         with monkeypatch.context() as patched:
             patched.setattr(engine, "syzygy_degrees", refuse)
-            dense = colength(nodal_cubic, q).colength
-        assert dense == colength_by_blocks(nodal_cubic, q, "staircase") == 1449
+            dense = [colength(nodal_cubic, qq).colength for qq in (1, 5, q)]
+        assert dense == [1, colength_naive(nodal_cubic, 5).colength, 1449]
+        monkeypatch.setattr(engine, "DENSE_CELL_LIMIT", 0)
+        assert [colength(nodal_cubic, qq).colength for qq in (1, 5, q)] == dense
 
     def test_middle_block_is_the_largest(self):
         for q in prime_powers(256):
