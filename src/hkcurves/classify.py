@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .engine import HKSample
@@ -38,7 +39,7 @@ class ClassifyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """One admissible exact HK multiplicity with its bundle interpretation.
 
@@ -61,9 +62,10 @@ class Candidate:
         return f"{self.case} (mu={self.mu}, s={self.s}, l={self.l})"
 
 
+@lru_cache(maxsize=32)
 def candidate_set(
     d: int, p: int, s_cut: int, smooth: bool | None = None
-) -> list[Candidate]:
+) -> tuple[Candidate, ...]:
     """All admissible exact HKM values for degree d, char p, s <= s_cut.
 
     smooth=True removes the not-semistable case (the kernel bundle of a
@@ -71,6 +73,10 @@ def candidate_set(
     an irreducible plane curve of degree > 1 has HK multiplicity < d, so
     they cannot occur.  Equal-value collisions are merged, the largest-s
     interpretation kept primary and the rest attached as alternates.
+
+    Memoized: the result is an immutable tuple shared by every caller with
+    the same arguments, so the reports of a sweep point at the same
+    Candidate and Fraction objects instead of holding copies.
     """
     if d <= 1:
         raise ClassifyError("classification needs degree > 1")
@@ -102,10 +108,10 @@ def candidate_set(
                                 tuple(group[1:]))
         merged.append(primary)
     merged.sort(key=lambda c: c.mu)
-    return merged
+    return tuple(merged)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MuEstimate:
     """Successive-difference estimate of HKM with an exact error radius."""
 
@@ -181,7 +187,7 @@ def slopes(s: int, l: int, d: int, p: int) -> tuple[Fraction, Fraction]:
     return (half_sum + Fraction(l, 2), half_sum - Fraction(l, 2))
 
 
-@dataclass
+@dataclass(slots=True)
 class HKReport:
     """Classification outcome for one curve."""
 

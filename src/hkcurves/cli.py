@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 
@@ -182,7 +183,9 @@ def cmd_smoothcheck(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `hk` argument parser, built once per process and shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="hk",
         description="Exact Hilbert-Kunz multiplicities and kernel-bundle "
@@ -240,9 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad input, matching our input-error code
         return int(exc.code or 0)

@@ -77,7 +77,7 @@ class ResourceLimitError(EngineError):
         self.partial = partial or []
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HKSample:
     """One Hilbert-Kunz function value: colength of (f) + (x^q, y^q, z^q)."""
 
@@ -156,7 +156,7 @@ def _coordinate_changes(f: HomogeneousPoly):
     """Linear substitutions to try, ending with the first shear that works."""
     spec = f.spec
     x, y, z = (Poly.variable(spec, v) for v in ("x", "y", "z"))
-    yield from ((x, y, z), (z, y, x), (x, z, y))
+    yield from ((z, y, x), (x, z, y))
     for a in spec.elements():
         for b in spec.elements():
             if f.evaluate((a, b, 1)):  # the z^d coefficient after the shear
@@ -168,10 +168,14 @@ def _coordinate_changes(f: HomogeneousPoly):
 def _monic_in_z(f: HomogeneousPoly) -> HomogeneousPoly:
     """A form with z^d coefficient 1 and the Hilbert function of f.
 
-    Tries the permutations that bring x^d or y^d to z^d, then a shear
-    x -> x + a*z, y -> y + b*z for a point [a:b:1] off the curve, then the
-    same search over GF(p^(2k)).
+    f itself when its z^d coefficient is nonzero, scaled by the inverse.
+    Otherwise tries the permutations that bring x^d or y^d to z^d, then a
+    shear x -> x + a*z, y -> y + b*z for a point [a:b:1] off the curve, then
+    the same search over GF(p^(2k)).
     """
+    lead = f.coefficient((0, 0, f.d))
+    if lead:
+        return HomogeneousPoly.from_poly(f * lead.inverse())
     for images in _coordinate_changes(f):
         g = f.substitute(images)
         lead = g.coefficient((0, 0, f.d))

@@ -34,7 +34,7 @@ class FamilyError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class FamilyPrediction:
     curve: PlaneCurve
     predicted_hkm: Fraction
@@ -154,7 +154,7 @@ def singular_family(d: int, r: int, spec: FieldSpec) -> FamilyPrediction:
 # parameter sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class SweepRow:
     param: str
     invariant: int | None  # m(alpha) or d(lambda); None for singular rows

@@ -11,16 +11,20 @@ to one of three exact kernels:
   growth is bounded, so the dtype is chosen once up front; a pivot
   updates only the rows that change);
 * GF(p^k), k >= 2: restriction of scalars -- each entry is replaced by the
-  k x k multiplication matrix of the element over GF(p), built once per
-  distinct entry of the matrix, and the prime field kernels finish the
-  job (the GF(p)-rank is exactly k times the GF(p^k)-rank).
+  k x k multiplication matrix of the element over GF(p) (`mul_matrix`,
+  powers of the modulus' companion matrix applied to its coefficients),
+  built once per distinct entry of the matrix, and the prime field
+  kernels finish the job (the GF(p)-rank is exactly k times the
+  GF(p^k)-rank).
 
 A pure-Python elimination over FieldElement values (`rank_generic`) is
 kept as the reference implementation for differential testing.
 
 `order_basis_degrees` is the one kernel over GF(p)[x]: the shifted degrees
 of a reduced approximant basis, from which the engine reads the syzygy
-degrees of (x^q, y^q, z^q).
+degrees of (x^q, y^q, z^q).  It keeps each row of the residual contiguous
+and eliminates the constant coefficient on Python ints, so one pivot
+costs one update of one row's tail.
 """
 
 from __future__ import annotations
@@ -124,13 +128,20 @@ def rank_modp(mat: np.ndarray, p: int) -> int:
 
 def mul_matrix(elem: FieldElement) -> np.ndarray:
     """k x k matrix over GF(p) of multiplication by `elem`, columns indexed by
-    the basis 1, t, ..., t^(k-1)."""
+    the basis 1, t, ..., t^(k-1).
+
+    Column j is C^j a mod p, for a the coefficients of `elem` and C the
+    companion matrix of the modulus (multiplication by t): each column is
+    the previous one shifted up a degree, with t^k replaced by the modulus.
+    """
     field = elem.spec
-    out = np.zeros((field.k, field.k), dtype=np.int64)
-    basis, t = field.one(), field.gen()
-    for j in range(field.k):
-        out[:, j] = (elem * basis).coeffs
-        basis = basis * t
+    p, k = field.p, field.k
+    out = np.empty((k, k), dtype=np.int64)
+    col = list(elem.coeffs)
+    for j in range(k):
+        out[:, j] = col
+        top = col[-1]
+        col = [(a - top * c) % p for a, c in zip([0] + col[:-1], field.modulus)]
     return out
 
 
@@ -160,30 +171,41 @@ def order_basis_degrees(series: np.ndarray, shifts: Sequence[int], p: int) -> li
     order the rows of the residual P F are eliminated against each other in
     order of increasing degree, and the rows that stay nonzero are multiplied
     by x.  Only the residual and the degrees are tracked, never P itself.
+    Degree i belongs to row i: the list is not sorted.
+
+    The residual is stored row-major, (m, order, n).  At order s the m x n
+    constant is eliminated on Python ints (rows by increasing degree, ties
+    by index, each against the earlier pivots), and each elimination is
+    applied to that row's tail only, res[i, s:] -= fac * res[r, s:],
+    reduced mod p at once.  A pivot row is therefore reduced before it
+    serves, every operand is below p, and the int64 arithmetic is exact
+    while p^2 + p < 2^63.
     """
-    res = np.array(series, dtype=np.int64) % p
-    order, m, _ = res.shape
+    res = np.ascontiguousarray(np.asarray(series, dtype=np.int64).transpose(1, 0, 2) % p)
+    m, order, _ = res.shape
     deg = list(shifts)
     for s in range(order):
-        const = res[s].copy()
-        if not const.any():
+        const = res[:, s].tolist()
+        if not any(map(any, const)):
             continue
-        trans = np.eye(m, dtype=np.int64)
         pivots: list[tuple[int, int, int]] = []  # (row, column, inverse of the pivot)
         for i in sorted(range(m), key=deg.__getitem__):
+            row = const[i]
             for r, c, inv in pivots:
-                fac = int(const[i, c]) * inv % p
+                fac = row[c] * inv % p
                 if fac:
-                    const[i] = (const[i] - fac * const[r]) % p
-                    trans[i] = (trans[i] - fac * trans[r]) % p
-            nz = np.flatnonzero(const[i])
-            if nz.size:
-                c = int(nz[0])
-                pivots.append((i, c, pow(int(const[i, c]), p - 2, p)))
-        res[s:] = trans @ res[s:] % p
-        for i, _, _ in pivots:  # multiply by x, truncated at the order
-            res[s + 1:, i] = res[s:-1, i].copy()
-            res[s, i] = 0
+                    row = [(a - fac * b) % p for a, b in zip(row, const[r])]
+                    tail = res[i, s:]
+                    tail -= fac * res[r, s:]
+                    tail %= p
+            const[i] = row
+            lead = next(filter(None, row), 0)
+            if lead:  # the first nonzero entry is the first one equal to it
+                pivots.append((i, row.index(lead), pow(lead, p - 2, p)))
+        rows = [i for i, _, _ in pivots]  # multiply by x, truncated at the order
+        res[rows, s + 1:] = res[rows, s:-1]
+        res[rows, s] = 0
+        for i in rows:
             deg[i] += 1
     return deg
 

@@ -95,6 +95,11 @@ class TestCandidateSet:
         b = candidate_set(6, 3, 2)
         assert a == b
 
+    def test_memoized_as_one_shared_tuple(self):
+        a = candidate_set(4, 2, 3, True)
+        assert isinstance(a, tuple)
+        assert candidate_set(4, 2, 3, True) is a
+
 
 class TestEstimateMu:
     def test_exact_conic_data(self):

@@ -184,6 +184,17 @@ class TestClassify:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_shared_parser_keeps_no_option_between_calls(self, capsys, tmp_path):
+        # main reuses one parser; a path given to one call must not leak into the next
+        out_json = tmp_path / "report.json"
+        argv = ["classify", "--field", "GF(5)", "--poly", NODAL, "--nmax", "2", "--no-timestamp"]
+        code, out, _ = run(argv + ["--out-json", str(out_json)], capsys)
+        assert code == 0 and out == ""
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out == out_json.read_text()
+        assert cli.build_parser() is cli.build_parser()
+
     def test_timestamp_included_by_default(self, capsys, tmp_path):
         out_json = tmp_path / "report.json"
         run(

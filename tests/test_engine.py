@@ -25,7 +25,7 @@ from hkcurves.engine import (
     truncated_count,
 )
 from hkcurves.gf import FieldSpec
-from hkcurves.poly import PlaneCurve, parse_poly
+from hkcurves.poly import PlaneCurve, Poly, parse_poly
 
 FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(5), FieldSpec(2, 3)]
 
@@ -257,9 +257,28 @@ class TestStructuralInvariants:
                     assert got == colength_naive(f, q).colength
                 q *= f.spec.p
 
-    def test_deep_pins(self, monsky2_g1, monsky3_f2):
+    def test_deep_pins(self, monsky2_g1, monsky3_f2, gf4, gf9):
         assert colength(monsky2_g1, 256).colength == 200704
         assert colength(monsky3_f2, 243).colength == 183708
+        # the GF(4) and GF(9) members alpha = t and lambda = t
+        assert colength(parse_poly(MONSKY2_T, gf4), 256).colength == 196864
+        assert colength(parse_poly(MONSKY3_T, gf9), 243).colength == 177876
+
+    def test_form_with_a_z_power_is_only_scaled(self, gf3, monkeypatch):
+        # z^3 coefficient 2: scaling by 2^-1 = 2 makes it monic, no coordinate change
+        f = parse_poly("2*z^3 + x*y*z + x^3 + y^3", gf3)
+
+        def refuse(*args):
+            raise AssertionError("a coordinate change was tried")
+
+        monkeypatch.setattr(Poly, "substitute", refuse)
+        g = engine._monic_in_z(f)
+        assert g.coefficient((0, 0, 3)) == gf3.one()
+        assert g == f * gf3.element(2)
+        for q in (1, 3, 9):
+            closed = sum(j * j - 3 * (q + j) ** 2 for j in range(3))
+            b = syzygy_degrees(f, q)
+            assert (closed + sum(x * x for x in b)) // 2 == colength_naive(f, q).colength
 
     def test_graded_block_shape_and_entries(self, monsky2_g1):
         blk = graded_block(monsky2_g1, 3, 4)

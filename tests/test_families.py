@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hkcurves.classify import candidate_set
+from hkcurves.classify import candidate_set, estimate_mu
 from hkcurves.engine import smooth_check
 from hkcurves.families import (
     FamilyError,
@@ -142,6 +142,17 @@ class TestSweeps:
         # GF(4): alpha = 1 plus one representative of {t, t+1}
         rows_params = [r.param for r in sweep_monsky2(2, 2)]
         assert len(rows_params) == 2
+
+    def test_result_objects_have_no_instance_dict(self, gf3):
+        # a sweep keeps every row: slots keep each one small
+        row = sweep_monsky3(1, 2)[0]
+        report = row.report
+        objects = [row, report, report.samples[0], report.top_candidates[0],
+                   estimate_mu(report.samples), monsky_char3(gf3.element(2))]
+        assert [type(o).__name__ for o in objects] == [
+            "SweepRow", "HKReport", "HKSample", "Candidate", "MuEstimate", "FamilyPrediction"]
+        for obj in objects:
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
 
     def test_csv_shape(self, gf5):
         rows = sweep_singular(3, 2, gf5, 3)

@@ -129,6 +129,15 @@ class TestKernels:
                 block = blown[i * k:(i + 1) * k, j * k:(j + 1) * k]
                 assert np.array_equal(block, mul_matrix(field.from_index(int(idx[i, j]))))
 
+    @pytest.mark.parametrize("field", [FieldSpec(2, 3), FieldSpec(3, 2)], ids=str)
+    def test_mul_matrix_multiplies(self, field):
+        p = field.p
+        for a in field.elements():
+            mat = mul_matrix(a)
+            for b in field.elements():
+                got = mat @ np.array(b.coeffs, dtype=np.int64) % p
+                assert got.tolist() == list((a * b).coeffs)
+
     def test_entry_growth_stays_exact_for_larger_p(self):
         # p large enough that lazy reduction would overflow a narrow dtype
         p = 251
@@ -165,7 +174,72 @@ class TestKernels:
             assert rank(m, field) == rank_generic(m, field) == 4
 
 
+def reference_order_basis_degrees(series, shifts, p):
+    """The order-basis kernel with an explicit m x m transform, on Python ints.
+
+    Same elimination order as `order_basis_degrees`: rows by increasing
+    degree, ties by index, each reduced against the earlier pivots; the
+    transform is then applied to the whole residual at once.
+    """
+    res = [[[int(v) % p for v in row] for row in coeff] for coeff in series]  # [e][i][l]
+    order, m, n = len(res), len(shifts), len(res[0][0])
+    deg = list(shifts)
+    for s in range(order):
+        const = [list(row) for row in res[s]]
+        if not any(map(any, const)):
+            continue
+        trans = [[int(i == j) for j in range(m)] for i in range(m)]
+        pivots = []
+        for i in sorted(range(m), key=deg.__getitem__):
+            for r, c, inv in pivots:
+                fac = const[i][c] * inv % p
+                if fac:
+                    const[i] = [(a - fac * b) % p for a, b in zip(const[i], const[r])]
+                    trans[i] = [(a - fac * b) % p for a, b in zip(trans[i], trans[r])]
+            c = next((c for c, a in enumerate(const[i]) if a), None)
+            if c is not None:
+                pivots.append((i, c, pow(const[i][c], p - 2, p)))
+        for e in range(s, order):
+            res[e] = [[sum(trans[i][j] * res[e][j][l] for j in range(m)) % p for l in range(n)]
+                      for i in range(m)]
+        for i, _, _ in pivots:
+            for e in range(order - 1, s, -1):
+                res[e][i] = list(res[e - 1][i])
+            res[s][i] = [0] * n
+            deg[i] += 1
+    return deg
+
+
+@st.composite
+def order_basis_inputs(draw):
+    """(series, shifts, p), some constant rows zero, repeated or scaled copies."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101, 2**31 - 1]))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 2 * n + 1))
+    order = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = rng.integers(0, p, size=(order, m, n))
+    for i in range(m):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "scaled"]))
+        j = draw(st.integers(0, max(i - 1, 0)))
+        if kind == "zero":
+            series[0, i] = 0
+        elif kind == "repeat" and i:
+            series[0, i] = series[0, j]
+        elif kind == "scaled" and i:  # a multiple of a whole earlier row
+            series[:, i] = series[:, j] * draw(st.integers(0, p - 1)) % p
+    shifts = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    return series, shifts, p
+
+
 class TestOrderBasis:
+    @settings(max_examples=150, deadline=None)
+    @given(order_basis_inputs())
+    def test_matches_reference_per_row(self, case):
+        series, shifts, p = case
+        want = reference_order_basis_degrees(series, shifts, p)
+        assert order_basis_degrees(series, shifts, p) == want
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.integers(1, 12),
            st.integers(0, 2**32 - 1))
