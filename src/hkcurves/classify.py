@@ -290,7 +290,6 @@ def snap_classify(
         outside = [c for c in cands if c is not best and c not in folded]
         gap = min((abs(c.mu - best.mu) for c in outside), default=None)
         if gap is not None and not err < gap / 2:
-            report.top_candidates = ranked[:2]
             return report
         # the semistable-through bound must honor every interpretation of a
         # folded value, not just the primary one
@@ -301,7 +300,6 @@ def snap_classify(
             notes.append(
                 "data too shallow to separate 3d/4 from a destabilization at s = 1"
             )
-            report.top_candidates = ranked[:2]
             return report
         report.status = "classified"
         report.chosen = best

@@ -157,7 +157,7 @@ def singular_family(d: int, r: int, spec: FieldSpec) -> FamilyPrediction:
 @dataclass(slots=True)
 class SweepRow:
     param: str
-    invariant: int | None  # m(alpha) or d(lambda); None for singular rows
+    invariant: int | None  # predicted s: m(alpha), d(lambda); singular rows 0, or None if 2r = d
     predicted: Fraction
     measured: Fraction | None
     agree: str  # "true" | "false" | "ambiguous"

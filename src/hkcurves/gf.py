@@ -6,11 +6,14 @@ is either supplied by the caller or taken from a deterministic built-in
 choice (the lexicographically smallest monic irreducible of that degree),
 so element encodings are stable across runs.
 
-`power` is the one square-and-multiply loop: `FieldElement` and `Poly`
-powers and the modular powers of the irreducibility test and of root
-finding all run through it.  An embedding GF(p^k) -> GF(p^K), k | K,
-sends t to a root of the modulus, found by equal-degree splitting over
-the target field.
+Int lists hold only an element's k coefficients: `_mulmod` is the one
+element kernel, for `FieldElement` products and for the powers of t in
+Rabin's irreducibility test.  Polynomials over a field are lists of
+`FieldElement`s with one toolkit (`_poly_sub`, `_poly_mod`, `_poly_mulmod`,
+the monic `_poly_gcd`), used by the gcd step of that test over GF(p) and
+by equal-degree splitting.  `power` is the one square-and-multiply loop.
+An embedding GF(p^k) -> GF(p^K), k | K, sends t to a root of the modulus,
+found by Cantor-Zassenhaus splitting over the target field.
 
 Also hosts the Frobenius-orbit machinery used by the curve family
 constructors: orbit degrees, and the m(alpha) / d(lambda) invariants.
@@ -32,13 +35,23 @@ class FieldError(ValueError):
     """Bad field construction or an operation outside its domain."""
 
 
+# psi_12: the least strong pseudoprime to all 12 prime bases up to 37
+_PSI12 = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the 12 prime bases up to 37.
+
+    Exact for n < psi_12 = 318665857834031151167461; larger n raise
+    FieldError, since those bases do not certify them.
+    """
+    if n >= _PSI12:
+        raise FieldError(f"{n} is too large to certify as prime (the bound is {_PSI12})")
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % q == 0:
             return n == q
-    # deterministic Miller-Rabin, valid far beyond any field size we accept
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -69,77 +82,42 @@ def power(base: T, e: int, one: T, mul: Callable[[T, T], T] = operator.mul) -> T
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over GF(p); lists of ints, index = power of t
+# the element kernel: residues mod a monic modulus, as k ints low-order first
 # ---------------------------------------------------------------------------
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+def _mulmod(a: Sequence[int], b: Sequence[int], m: Sequence[int], p: int) -> list[int]:
+    """a*b mod m over GF(p); a, b and the result hold k = deg m coefficients."""
+    k = len(m) - 1
+    out = [0] * (2 * k - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1] % p
+            for j, bj in enumerate(b, i):
+                if bj:
+                    out[j] += ai * bj
+    for top in range(2 * k - 2, k - 1, -1):  # t^top = -sum m_j t^(top-k+j)
+        c = out[top] % p
         if c:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - c * mi) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _poly_powmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> list[int]:
-    return power(_poly_mod(a, m, p), e, [1], lambda u, v: _poly_mod(_poly_mul(u, v, p), m, p))
-
-
-def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = [(c * inv) % p for c in b]
-        a, b = b, _poly_mod(a, bm, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
+            for j in range(k):
+                out[top - k + j] -= c * m[j]
+    return [c % p for c in out[:k]]
 
 
 def _is_irreducible(mod_lo: Sequence[int], p: int) -> bool:
-    """Distinct-degree test: t^(p^k) == t mod m, and gcd(t^(p^(k/l)) - t, m) = 1
-    for every prime l dividing k."""
+    """Rabin's test for a monic modulus of degree k >= 2: t^(p^k) == t mod m,
+    and gcd(t^(p^(k/l)) - t, m) = 1 for every prime l dividing k."""
     k = len(mod_lo) - 1
-    if k < 1:
+    t, one = [0, 1] + [0] * (k - 2), [1] + [0] * (k - 1)
+    def t_pow(e: int) -> list[int]:
+        return power(t, e, one, lambda u, v: _mulmod(u, v, mod_lo, p))
+    if t_pow(p ** k) != t:
         return False
-    t = [0, 1]
-    if _poly_powmod(t, p ** k, mod_lo, p) != t:
-        return False
+    base = FieldSpec(p)
+    m = [base.element(c) for c in mod_lo]
     for ell in _prime_divisors(k):
-        g = _poly_powmod(t, p ** (k // ell), mod_lo, p)
-        diff = _poly_trim([(a - b) % p for a, b in _zip_pad(g, t)])
-        if len(_poly_gcd(list(mod_lo), diff, p)) != 1:
+        diff = [base.element(g - s) for g, s in zip(t_pow(p ** (k // ell)), t)]
+        if len(_poly_gcd(m, _poly_trim(diff))) != 1:
             return False
     return True
-
-
-def _zip_pad(a: Sequence[int], b: Sequence[int]) -> Iterable[tuple[int, int]]:
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -167,17 +145,13 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
     # ascending `code` enumerates (c_{k-1},...,c_0) in lex order, most
     # significant coefficient compared first
     for code in range(p ** k):
-        lo = []
-        c = code
-        for _ in range(k):
-            lo.append(c % p)
-            c //= p
-        mod_lo = lo + [1]
+        mod_lo = [code // p ** i % p for i in range(k)] + [1]
         if _is_irreducible(mod_lo, p):
             return tuple(mod_lo)
     raise FieldError(f"no irreducible polynomial found for GF({p}^{k})")  # pragma: no cover
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class FieldSpec:
     """Immutable description of GF(p^k): characteristic, degree, modulus.
 
@@ -187,7 +161,9 @@ class FieldSpec:
     low-order first.  Irreducibility is checked at construction.
     """
 
-    __slots__ = ("p", "k", "modulus", "_hash")
+    p: int
+    k: int
+    modulus: tuple[int, ...]
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
         if not is_prime(p):
@@ -209,25 +185,10 @@ class FieldSpec:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "modulus", tuple(mod_lo))
-        object.__setattr__(self, "_hash", hash((p, k, tuple(mod_lo))))
-
-    def __setattr__(self, *a):  # immutable, shareable across threads
-        raise AttributeError("FieldSpec is immutable")
 
     @property
     def order(self) -> int:
         return self.p ** self.k
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldSpec)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"FieldSpec({self})"
@@ -283,7 +244,7 @@ class FieldSpec:
             yield self.from_index(idx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldElement:
     """One element of GF(p^k), as k coefficients low-order first."""
 
@@ -321,10 +282,7 @@ class FieldElement:
             return NotImplemented
         self._check(other)
         spec = self.spec
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs), spec.p)
-        red = _poly_mod(prod, list(spec.modulus), spec.p)
-        red += [0] * (spec.k - len(red))
-        return FieldElement(spec, tuple(red))
+        return FieldElement(spec, tuple(_mulmod(self.coeffs, other.coeffs, spec.modulus, spec.p)))
 
     def __pow__(self, e: int) -> "FieldElement":
         if e < 0:
@@ -375,59 +333,65 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# embeddings between extensions of a common prime field
+# polynomials over a field, low-order first; embeddings between extensions
 # ---------------------------------------------------------------------------
 
-def _find_root(mod_lo: Sequence[int], target: FieldSpec) -> FieldElement:
-    """A root in `target` of an irreducible polynomial over GF(p) whose degree
-    divides target.k: it splits into distinct linear factors over `target`,
-    which equal-degree splitting separates."""
-    g = _target_poly_monic([target.element(c) for c in mod_lo])
-    while len(g) - 1 > 1:
-        g = _split_linear_product(g, target)
-    return -g[0]
-
-
-def _target_poly_monic(f: list[FieldElement]) -> list[FieldElement]:
-    while f and not f[-1]:
-        f.pop()
-    inv = f[-1].inverse()
-    return [c * inv for c in f]
-
-
-def _target_poly_mod(a: list[FieldElement], m: list[FieldElement]) -> list[FieldElement]:
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = a[shift + i] - c * mi
-        a.pop()
+def _poly_trim(a: list[FieldElement]) -> list[FieldElement]:
     while a and not a[-1]:
         a.pop()
     return a
 
 
-def _target_poly_mulmod(a, b, m, spec: FieldSpec):
-    out = [spec.zero()] * (len(a) + len(b) - 1)
+def _poly_sub(a: Sequence[FieldElement], b: Sequence[FieldElement]) -> list[FieldElement]:
+    out = [x - y for x, y in zip(a, b)] + list(a[len(b):]) + [-y for y in b[len(a):]]
+    return _poly_trim(out)
+
+
+def _poly_mod(a: Sequence[FieldElement], m: Sequence[FieldElement]) -> list[FieldElement]:
+    """a mod m for a monic m."""
+    a = list(a)
+    dm = len(m) - 1
+    while len(a) > dm:
+        c = a.pop()
+        if c:
+            shift = len(a) - dm
+            for i in range(dm):
+                a[shift + i] = a[shift + i] - c * m[i]
+    return _poly_trim(a)
+
+
+def _poly_mulmod(a: Sequence[FieldElement], b: Sequence[FieldElement],
+                 m: Sequence[FieldElement]) -> list[FieldElement]:
+    out = [m[-1].spec.zero()] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = out[i + j] + ai * bj
-    return _target_poly_mod(out, m)
+    return _poly_mod(out, m)
 
 
-def _target_poly_gcd(a, b, spec: FieldSpec):
+def _poly_gcd(a: Sequence[FieldElement], b: Sequence[FieldElement]) -> list[FieldElement]:
+    """Monic gcd, for a monic `a` or a nonzero `b`."""
+    a = list(a)
     while b:
-        b = _target_poly_monic(list(b))
-        a, b = b, _target_poly_mod(a, b)
-    return _target_poly_monic(list(a))
+        inv = b[-1].inverse()
+        b = [c * inv for c in b]
+        a, b = b, _poly_mod(a, b)
+    return a
+
+
+def _find_root(mod_lo: Sequence[int], target: FieldSpec) -> FieldElement:
+    """A root in `target` of a monic irreducible polynomial over GF(p) whose
+    degree divides target.k: it splits into distinct linear factors over
+    `target`, which equal-degree splitting separates."""
+    g = [target.element(c) for c in mod_lo]
+    while len(g) - 1 > 1:
+        g = _split_linear_product(g, target)
+    return -g[0]
 
 
 def _split_linear_product(g: list[FieldElement], spec: FieldSpec) -> list[FieldElement]:
-    """Halve a product of distinct linear factors over GF(p^K).
+    """Halve a monic product of distinct linear factors over GF(p^K).
 
     char 2: gcd with the additive trace polynomial of u*t; odd char: gcd with
     (t+u)^((Q-1)/2) - 1.  Deterministic sweep over u."""
@@ -435,33 +399,20 @@ def _split_linear_product(g: list[FieldElement], spec: FieldSpec) -> list[FieldE
     for uidx in range(1, spec.order):
         u = spec.from_index(uidx)
         if spec.p == 2:
-            acc = cur = [spec.zero(), u]  # u*t
+            h = cur = [spec.zero(), u]  # u*t
             for _ in range(spec.k - 1):
-                cur = _target_poly_mulmod(cur, cur, g, spec)
-                acc = _target_poly_add(acc, cur, spec)
-            h = _target_poly_mod(acc, g)
+                cur = _poly_mulmod(cur, cur, g)
+                h = _poly_sub(h, cur)
         else:
             h = power([u, one], (spec.order - 1) // 2, [one],
-                      lambda a, b: _target_poly_mulmod(a, b, g, spec))
-            h = _target_poly_add(h, [-one], spec)
+                      lambda a, b: _poly_mulmod(a, b, g))
+            h = _poly_sub(h, [one])
         if not h:
             continue
-        d = _target_poly_gcd(list(g), h, spec)
+        d = _poly_gcd(g, h)
         if 0 < len(d) - 1 < len(g) - 1:
             return d
     raise FieldError("splitting failed")  # pragma: no cover
-
-
-def _target_poly_add(a, b, spec: FieldSpec):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else spec.zero()
-        y = b[i] if i < len(b) else spec.zero()
-        out.append(x + y)
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -336,10 +336,14 @@ def parse_poly(text: str, spec: FieldSpec) -> HomogeneousPoly:
 
     Field constants are integers (prime-subfield values) or bracketed
     coefficient lists `[c_{k-1},...,c_0]`, most significant first.
-    Raises on syntax errors, on inhomogeneous input (reporting two
-    differing term degrees) and on the zero polynomial.
+    Raises on syntax errors, on nesting too deep for the recursive-descent
+    parser, on inhomogeneous input (reporting two differing term degrees)
+    and on the zero polynomial.
     """
-    p = _Parser(_tokenize(text), spec).parse()
+    try:
+        p = _Parser(_tokenize(text), spec).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     return HomogeneousPoly.from_poly(p)
 
 

@@ -66,6 +66,25 @@ class TestCompute:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("p", [318665857834031151167461, 3317044064679887385961981],
+                             ids=["psi12", "psi13"])
+    def test_uncertified_characteristic_exits_2(self, capsys, p):
+        # composites that pass Miller-Rabin for every base up to 37
+        code, out, err = run(
+            ["smoothcheck", "--field", f"GF({p})", "--poly", "x^2+y^2+z^2"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "certify" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--poly", "(" * 3000 + "x" + ")" * 3000],
+        ["--poly=" + "-" * 3000 + "x"],
+    ], ids=["parentheses", "minus-signs"])
+    def test_deeply_nested_poly_exits_2(self, capsys, argv):
+        code, out, err = run(["smoothcheck", "--field", "GF(2)", *argv], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "nested too deeply" in err
+
     def test_resource_guard_exits_3(self, capsys):
         code, _, err = run(
             ["compute", "--field", "GF(5)", "--poly", NODAL, "--nmax", "3",

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,57 @@ class TestFieldSpec:
     def test_rejects_nonprime_characteristic(self):
         with pytest.raises(FieldError):
             FieldSpec(6)
+
+    @pytest.mark.parametrize("n", [
+        318665857834031151167461,    # psi_12 = 399165290221 * 798330580441
+        3317044064679887385961981,   # psi_13 = 1287836182261 * 2575672364521
+    ], ids=["psi12", "psi13"])
+    def test_rejects_characteristic_beyond_certified_bound(self, n):
+        # strong pseudoprimes to every Miller-Rabin base up to 37
+        with pytest.raises(FieldError, match="certify"):
+            FieldSpec(n)
+
+    def test_accepts_large_certified_prime(self):
+        assert FieldSpec(2**61 - 1).p == 2**61 - 1
+
+    def test_pinned_default_moduli(self):
+        # low-order first; element encodings depend on them, so they must not drift
+        assert default_modulus(2, 8) == (1, 1, 0, 1, 1, 0, 0, 0, 1)
+        assert default_modulus(2, 16) == (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,)
+        assert default_modulus(3, 6) == (2, 1, 0, 0, 0, 0, 1)
+        assert default_modulus(5, 4) == (2, 0, 0, 0, 1)
+
+    @pytest.mark.parametrize("p, kmax", [(2, 6), (3, 4), (5, 3)])
+    def test_accepted_moduli_match_gauss_count(self, p, kmax):
+        # monic irreducibles of degree k over GF(p): (1/k) sum_{e|k} mu(e) p^(k/e)
+        def mobius(n):
+            sign, d = 1, 2
+            while d * d <= n:
+                if n % d == 0:
+                    n //= d
+                    if n % d == 0:
+                        return 0
+                    sign = -sign
+                d += 1
+            return -sign if n > 1 else sign
+
+        for k in range(1, kmax + 1):
+            gauss = sum(mobius(e) * p ** (k // e) for e in range(1, k + 1) if k % e == 0) // k
+            accepted = 0
+            for low in itertools.product(range(p), repeat=k):
+                try:
+                    FieldSpec(p, k, [1, *low])
+                except FieldError:
+                    continue
+                accepted += 1
+            assert accepted == gauss, (p, k)
+
+    def test_field_types_are_slotted_and_frozen(self, gf9):
+        # every polynomial term holds a FieldElement: slots keep each one small
+        for obj, name in ((gf9, "modulus"), (gf9.gen(), "coeffs")):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+            with pytest.raises(AttributeError):
+                setattr(obj, name, (1, 0))
 
     def test_rejects_reducible_modulus(self):
         with pytest.raises(FieldError):
@@ -220,6 +273,22 @@ class TestEmbedding:
     def test_no_embedding_when_degrees_incompatible(self, gf4):
         with pytest.raises(FieldError):
             embed(gf4.gen(), FieldSpec(2, 3))
+
+    @pytest.mark.parametrize("src, dst, image", [
+        (FieldSpec(2, 2), FieldSpec(2, 4), 6),
+        (FieldSpec(2, 3), FieldSpec(2, 6), 14),
+        (FieldSpec(2, 4), FieldSpec(2, 8), 93),
+        (FieldSpec(3, 2), FieldSpec(3, 4), 42),
+        (FieldSpec(5, 2), FieldSpec(5, 4), 100),
+        (FieldSpec(7, 2), FieldSpec(7, 4), 1529),
+        (FieldSpec(3, 2), FieldSpec(3, 2, modulus=[1, 1, 2]), 7),
+        (FieldSpec(2, 8), FieldSpec(2, 16), 52819),
+    ], ids=["2^2-2^4", "2^3-2^6", "2^4-2^8", "3^2-3^4", "5^2-5^4", "7^2-7^4",
+            "3^2-3^2", "2^8-2^16"])
+    def test_pinned_embedding_roots(self, src, dst, image):
+        # the index of the image of t: the u sweep and the monic gcds fix
+        # which root is chosen, so embedded coefficients must not drift
+        assert embed(src.gen(), dst).index() == image
 
     def test_large_target_uses_splitting(self):
         src = FieldSpec(2, 8)
