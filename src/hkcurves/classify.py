@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .engine import HKSample
+from .engine import HKSample, to_json
 
 STRONGLY_SEMISTABLE = "strongly_semistable"
 NOT_SEMISTABLE = "not_semistable"
@@ -232,13 +232,11 @@ def snap_classify(
     blocks acceptance instead: semistability itself would be undecided.
     """
     est = estimate_mu(samples, K)
-    usable = [s for s in samples if s.n >= 1]
-    s_cut = max(s.n for s in usable)
+    s_cut = max(s.n for s in samples)
     cands = candidate_set(d, p, s_cut, smooth)
     notes: list[str] = []
 
-    floor = Fraction(3 * d, 4)
-    if est.mu < floor - est.radius:
+    if est.mu < Fraction(3 * d, 4) - est.radius:
         notes.append(
             f"estimate {est.mu} sits below the 3d/4 lower bound beyond the radius; "
             "data inconsistent with an irreducible plane curve"
@@ -276,10 +274,10 @@ def snap_classify(
             + "; ".join(a.describe() for a in best.alternates)
         )
 
+    folded: list[Candidate] = []
     if best.case == STRONGLY_SEMISTABLE:
         zone = [c for c in cands if c is not best and abs(c.mu - best.mu) <= 2 * err]
         blockers = [c for c in zone if NOT_SEMISTABLE in _interpretation_cases(c)]
-        folded = [c for c in zone if NOT_SEMISTABLE not in _interpretation_cases(c)]
         if blockers:
             notes.append(
                 "a not-semistable candidate lies within the resolution of this data; "
@@ -287,25 +285,21 @@ def snap_classify(
             )
             report.top_candidates = [best, blockers[0]]
             return report
-        outside = [c for c in cands if c is not best and c not in folded]
-        gap = min((abs(c.mu - best.mu) for c in outside), default=None)
-        if gap is not None and not err < gap / 2:
-            return report
+        folded = zone
+
+    gap = min((abs(c.mu - best.mu) for c in cands if c is not best and c not in folded),
+              default=None)
+    if gap is not None and not err < gap / 2:
+        return report
+    if best.case == STRONGLY_SEMISTABLE:
         # the semistable-through bound must honor every interpretation of a
         # folded value, not just the primary one
         s_star = min((_min_interpretation_s(c) for c in folded), default=s_cut + 1) - 1
         if s_star < 1:
             # even a first-pullback destabilization is below the noise floor;
             # the value claim would be empty, so stay ambiguous
-            notes.append(
-                "data too shallow to separate 3d/4 from a destabilization at s = 1"
-            )
+            notes.append("data too shallow to separate 3d/4 from a destabilization at s = 1")
             return report
-        report.status = "classified"
-        report.chosen = best
-        report.hkm = best.mu
-        report.alpha = alpha_from_hkm(best.mu, d)
-        report.margin = None if gap is None else gap / 2 - err
         report.unexcluded_tail = sorted(folded, key=lambda c: (c.s, c.l))
         report.strongly_semistable_through = s_star
         if folded:
@@ -315,18 +309,13 @@ def snap_classify(
             )
         else:
             notes.append(f"strong semistability verified through s = {s_star} (= s_cut)")
-        return report
-
-    gap = min(abs(c.mu - best.mu) for c in cands if c is not best)
-    if not err < gap / 2:
-        return report
+    else:
+        report.hn_slopes = slopes(best.s, best.l, d, p)
     report.status = "classified"
     report.chosen = best
     report.hkm = best.mu
     report.alpha = alpha_from_hkm(best.mu, d)
-    report.margin = gap / 2 - err
-    assert best.s is not None and best.l is not None
-    report.hn_slopes = slopes(best.s, best.l, d, p)
+    report.margin = None if gap is None else gap / 2 - err
     return report
 
 
@@ -339,48 +328,6 @@ def _min_interpretation_s(c: Candidate) -> int:
     return min(s for s in ss if s is not None)
 
 
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def _frac_dict(x: Fraction | None) -> dict | None:
-    if x is None:
-        return None
-    return {"num": x.numerator, "den": x.denominator, "decimal": float(x)}
-
-
-def _cand_dict(c: Candidate | None) -> dict | None:
-    if c is None:
-        return None
-    return {
-        "case": c.case,
-        "mu": _frac_dict(c.mu),
-        "s": c.s,
-        "l": c.l,
-        "alternates": [_cand_dict(a) for a in c.alternates],
-    }
-
-
 def report_to_dict(report: HKReport) -> dict:
-    return {
-        "curve": report.curve,
-        "d": report.d,
-        "p": report.p,
-        "samples": [{"n": s.n, "q": s.q, "colength": s.colength} for s in report.samples],
-        "status": report.status,
-        "mu_estimate": _frac_dict(report.mu_estimate),
-        "radius": _frac_dict(report.radius),
-        "chosen": _cand_dict(report.chosen),
-        "hkm": _frac_dict(report.hkm),
-        "alpha": _frac_dict(report.alpha),
-        "hn_slopes": (
-            None
-            if report.hn_slopes is None
-            else [_frac_dict(report.hn_slopes[0]), _frac_dict(report.hn_slopes[1])]
-        ),
-        "margin": _frac_dict(report.margin),
-        "top_candidates": [_cand_dict(c) for c in report.top_candidates],
-        "unexcluded_tail": [_cand_dict(c) for c in report.unexcluded_tail],
-        "strongly_semistable_through": report.strongly_semistable_through,
-        "notes": list(report.notes),
-    }
+    """The report as JSON-ready data: HKReport's fields in declaration order."""
+    return to_json(report)

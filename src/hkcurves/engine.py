@@ -22,10 +22,10 @@ the shifted degrees of a reduced approximant basis of
 {(c, r) : M_q c = r mod x^q}, shift q+j on c_j and q+i on r_i
 (`linalg.order_basis_degrees`).  GF(p^k) runs the same GF(p)[x] path by
 restriction of scalars, which repeats every degree k times.  A form not
-monic in z is first permuted, else sheared to move a rational point off
-the curve to [0:0:1], else moved to GF(p^(2k)): linear changes of
-coordinates keep (x^q, y^q, z^q), the Frobenius power of the maximal
-ideal, and field extension keeps dimensions.
+monic in z moves a rational point off the curve to [0:0:1]
+(`poly.to_origin`), over GF(p^(2k)) if the curve holds every rational
+point: linear changes of coordinates keep (x^q, y^q, z^q), the Frobenius
+power of the maximal ideal, and field extension keeps dimensions.
 
 `colength` takes one of two routes per sample.  Over GF(p^k), k > 1, or
 when the middle (largest) block has more than DENSE_CELL_LIMIT cells, it
@@ -35,7 +35,8 @@ stay dense because perfbench keeps each command's output until a run
 ends, so a faster path runs more passes and reads as more memory.
 `colength_naive` is the grading-free oracle: one rank of the full
 q^3 x q^3 multiplication matrix.  It, the graded blocks and `smooth_check`
-build their index arrays with `_multiplication_matrix`.
+build their index arrays with `_multiplication_matrix`.  `to_json` is the
+one encoder of reports, samples and cache records.
 """
 
 from __future__ import annotations
@@ -46,14 +47,16 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from .gf import FieldSpec, embed
 from .linalg import _index_dtype, mul_matrix, order_basis_degrees, rank
-from .poly import HomogeneousPoly, Monomial, PlaneCurve, Poly, partial
+from .poly import HomogeneousPoly, Monomial, PlaneCurve, partial, to_origin
 
 log = logging.getLogger(__name__)
 
@@ -152,37 +155,30 @@ def block_rank(f: HomogeneousPoly, n: int, q: int, method: str) -> int:
     return rank(graded_block(f, n, q), f.spec)
 
 
-def _coordinate_changes(f: HomogeneousPoly):
-    """Linear substitutions to try, ending with the first shear that works."""
-    spec = f.spec
-    x, y, z = (Poly.variable(spec, v) for v in ("x", "y", "z"))
-    yield from ((z, y, x), (x, z, y))
-    for a in spec.elements():
-        for b in spec.elements():
-            if f.evaluate((a, b, 1)):  # the z^d coefficient after the shear
-                yield (x + z * a, y + z * b, z)
-                return
-
-
 @lru_cache(maxsize=1)
 def _monic_in_z(f: HomogeneousPoly) -> HomogeneousPoly:
     """A form with z^d coefficient 1 and the Hilbert function of f.
 
     f itself when its z^d coefficient is nonzero, scaled by the inverse.
-    Otherwise tries the permutations that bring x^d or y^d to z^d, then a
-    shear x -> x + a*z, y -> y + b*z for a point [a:b:1] off the curve, then
-    the same search over GF(p^(2k)).
+    Otherwise f moved by `to_origin` for the first rational point off the
+    curve, searched lazily among [1:0:0], [0:1:0], every [a:b:1] and every
+    [a:1:0], then scaled; when the curve holds every rational point, the
+    same search over GF(p^(2k)).
     """
-    lead = f.coefficient((0, 0, f.d))
-    if lead:
-        return HomogeneousPoly.from_poly(f * lead.inverse())
-    for images in _coordinate_changes(f):
-        g = f.substitute(images)
-        lead = g.coefficient((0, 0, f.d))
-        if lead:
-            return HomogeneousPoly.from_poly(g * lead.inverse())
-    big = FieldSpec(f.spec.p, 2 * f.spec.k)
-    return _monic_in_z(HomogeneousPoly(big, {m: embed(c, big) for m, c in f.terms.items()}))
+    g = f
+    if not f.coefficient((0, 0, f.d)):
+        spec = f.spec
+        points = chain(
+            [(1, 0, 0), (0, 1, 0)],
+            ((a, b, 1) for a in spec.elements() for b in spec.elements()),
+            ((a, 1, 0) for a in spec.elements()),
+        )
+        point = next((pt for pt in points if f.evaluate(pt)), None)
+        if point is None:
+            big = FieldSpec(spec.p, 2 * spec.k)
+            return _monic_in_z(HomogeneousPoly(big, {m: embed(c, big) for m, c in f.terms.items()}))
+        g = f.substitute(to_origin(spec, point))  # its z^d coefficient is f(point)
+    return HomogeneousPoly.from_poly(g * g.coefficient((0, 0, f.d)).inverse())
 
 
 def _syzygy_series(g: HomogeneousPoly, q: int) -> np.ndarray:
@@ -367,16 +363,29 @@ def smooth_check(curve: PlaneCurve) -> bool:
 # ---------------------------------------------------------------------------
 
 def samples_to_csv(samples: Iterable[HKSample]) -> str:
-    lines = ["n,q,colength"]
-    for s in samples:
-        lines.append(f"{s.n},{s.q},{s.colength}")
-    return "\n".join(lines) + "\n"
+    return "n,q,colength\n" + "".join(f"{s.n},{s.q},{s.colength}\n" for s in samples)
+
+
+def to_json(value):
+    """JSON-ready data for reports, samples and cache records.
+
+    A Fraction becomes {num, den, decimal}, a dataclass its fields in
+    declaration order, a list or tuple a list; anything else is kept.
+    """
+    if value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    names = getattr(type(value), "__dataclass_fields__", None)  # in declaration order
+    if names is not None:
+        return {name: to_json(getattr(value, name)) for name in names}
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator, "decimal": float(value)}
+    return value
 
 
 def samples_to_json(samples: Iterable[HKSample]) -> str:
-    return json.dumps(
-        [{"n": s.n, "q": s.q, "colength": s.colength} for s in samples], indent=2
-    ) + "\n"
+    return json.dumps(to_json(list(samples)), indent=2) + "\n"
 
 
 class SampleCache:
@@ -420,13 +429,7 @@ class SampleCache:
         if key in self._data:
             return
         self._data[key] = sample.colength
-        rec = {
-            "field": key[0],
-            "poly": key[1],
-            "n": sample.n,
-            "q": sample.q,
-            "colength": sample.colength,
-        }
+        rec = {"field": key[0], "poly": key[1], **to_json(sample)}
         if self._torn_at is not None:
             os.truncate(self.path, self._torn_at)
             self._torn_at = None

@@ -27,7 +27,7 @@ from typing import Iterable
 from .classify import HKReport, snap_classify
 from .engine import hk_sequence
 from .gf import FieldElement, FieldSpec, d_lambda, frobenius_orbit_degree, m_alpha
-from .poly import HomogeneousPoly, PlaneCurve, Poly
+from .poly import VARS, HomogeneousPoly, PlaneCurve, Poly
 
 
 class FamilyError(ValueError):
@@ -44,12 +44,8 @@ class FamilyPrediction:
     param: str = ""
 
 
-def _xyz(spec: FieldSpec) -> tuple[Poly, Poly, Poly]:
-    return (
-        Poly.variable(spec, "x"),
-        Poly.variable(spec, "y"),
-        Poly.variable(spec, "z"),
-    )
+def _xyz(spec: FieldSpec) -> tuple[Poly, ...]:
+    return tuple(Poly.variable(spec, v) for v in VARS)
 
 
 def monsky_char2(alpha: FieldElement) -> FamilyPrediction:
@@ -180,39 +176,24 @@ def _orbit_representatives(spec: FieldSpec, exclude: set[int]) -> list[FieldElem
 
 
 def _measure(pred: FamilyPrediction, n_max: int) -> SweepRow:
-    samples = hk_sequence(pred.curve, n_max)
-    report = snap_classify(
-        samples,
-        pred.curve.d,
-        pred.curve.p,
-        smooth=pred.curve.known_smooth,
-        curve_name=pred.curve.name,
-    )
-    if not report.accepted:
-        agree, measured = "ambiguous", None
-    elif report.hkm == pred.predicted_hkm:
-        agree, measured = "true", report.hkm
-    else:
-        agree, measured = "false", report.hkm
-    invariant = pred.predicted_s
-    return SweepRow(pred.param, invariant, pred.predicted_hkm, measured, agree, report)
+    curve = pred.curve
+    samples = hk_sequence(curve, n_max)
+    report = snap_classify(samples, curve.d, curve.p, smooth=curve.known_smooth,
+                           curve_name=curve.name)
+    measured = report.hkm  # None unless the report is accepted
+    agree = "ambiguous" if measured is None else "true" if measured == pred.predicted_hkm else "false"
+    return SweepRow(pred.param, pred.predicted_s, pred.predicted_hkm, measured, agree, report)
 
 
 def sweep_monsky2(k: int, n_max: int) -> list[SweepRow]:
-    spec = FieldSpec(2, k)
-    rows = []
-    for alpha in _orbit_representatives(spec, exclude={0}):
-        rows.append(_measure(monsky_char2(alpha), n_max))
-    return rows
+    reps = _orbit_representatives(FieldSpec(2, k), exclude={0})
+    return [_measure(monsky_char2(alpha), n_max) for alpha in reps]
 
 
 def sweep_monsky3(k: int, n_max: int) -> list[SweepRow]:
     spec = FieldSpec(3, k)
-    exclude = {spec.zero().index(), spec.one().index()}
-    rows = []
-    for lam in _orbit_representatives(spec, exclude=exclude):
-        rows.append(_measure(monsky_char3(lam), n_max))
-    return rows
+    reps = _orbit_representatives(spec, exclude={spec.zero().index(), spec.one().index()})
+    return [_measure(monsky_char3(lam), n_max) for lam in reps]
 
 
 def sweep_singular(d: int, r: int, spec: FieldSpec, n_max: int) -> list[SweepRow]:

@@ -254,6 +254,17 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+# the largest total degree the parser expands: (x+y+z)^64 already takes seconds
+MAX_PARSE_DEGREE = 64
+
+
+def _check_degree(*factors: Poly, times: int = 1) -> None:
+    """Refuse, before expanding it, a product or power above MAX_PARSE_DEGREE."""
+    d = times * sum(max(map(sum, f.terms), default=0) for f in factors)
+    if d > MAX_PARSE_DEGREE:
+        raise ParseError(f"a product or power of degree {d} exceeds the bound {MAX_PARSE_DEGREE}")
+
+
 class _Parser:
     def __init__(self, tokens: list[str], spec: FieldSpec):
         self.tokens = tokens
@@ -295,7 +306,9 @@ class _Parser:
         acc = self.factor()
         while self.peek() == "*":
             self.next()
-            acc = acc * self.factor()
+            rhs = self.factor()
+            _check_degree(acc, rhs)
+            acc = acc * rhs
         return acc
 
     def factor(self) -> Poly:
@@ -305,6 +318,7 @@ class _Parser:
             tok = self.next()
             if not tok.isdigit():
                 raise ParseError(f"exponent must be a natural number, got {tok!r}")
+            _check_degree(base, times=int(tok))
             return base ** int(tok)
         return base
 
@@ -337,8 +351,9 @@ def parse_poly(text: str, spec: FieldSpec) -> HomogeneousPoly:
     Field constants are integers (prime-subfield values) or bracketed
     coefficient lists `[c_{k-1},...,c_0]`, most significant first.
     Raises on syntax errors, on nesting too deep for the recursive-descent
-    parser, on inhomogeneous input (reporting two differing term degrees)
-    and on the zero polynomial.
+    parser, on a product or power of total degree above MAX_PARSE_DEGREE
+    (64), checked before it is expanded, on inhomogeneous input (reporting
+    two differing term degrees) and on the zero polynomial.
     """
     try:
         p = _Parser(_tokenize(text), spec).parse()
@@ -368,26 +383,37 @@ def partial(f: Poly, var: str) -> HomogeneousPoly | None:
     return HomogeneousPoly(spec, out)
 
 
-def multiplicity_at(f: Poly, point) -> int:
-    """Multiplicity of the curve f = 0 at a projective point.
+def to_origin(spec: FieldSpec, point) -> list[Poly]:
+    """Images of x, y, z under a linear change of coordinates taking [0:0:1] to `point`.
 
-    Dehomogenizes in the chart of the last nonzero coordinate, translates
-    the point to the origin, and returns the least total degree of the
-    result; 0 when f does not vanish at the point, 1 at a smooth point.
+    For the point scaled to last nonzero coordinate a_c = 1, variable c maps
+    to z, z to variable c, and any other v_j to v_j + a_j*z: [a:b:1] gives
+    (x + a*z, y + b*z, z), [a:1:0] (x + a*z, z, y) and [1:0:0] (z, y, x).
     """
-    spec = f.spec
     coords = [spec.element(v) for v in point]
     chart = max((i for i, c in enumerate(coords) if c), default=None)
     if chart is None:
         raise PolyError("(0,0,0) is not a projective point")
     inv = coords[chart].inverse()
-    coords = [c * inv for c in coords]
+    names = list(VARS)
+    names[chart], names[2] = names[2], names[chart]
+    z = Poly.variable(spec, "z")
+    return [
+        z if j == chart else Poly.variable(spec, names[j]) + z * (coords[j] * inv)
+        for j in range(3)
+    ]
 
-    # substitute var_chart -> 1 and var_j -> var_j + a_j for the others
-    local = f.substitute([
-        Poly.constant(spec, 1) if j == chart else Poly.variable(spec, name) + coords[j]
-        for j, name in enumerate(VARS)
-    ])
+
+def multiplicity_at(f: Poly, point) -> int:
+    """Multiplicity of the curve f = 0 at a projective point.
+
+    Moves the point to [0:0:1] by `to_origin`, dehomogenizes at z = 1 and
+    returns the least total degree of the result; 0 when f does not vanish
+    at the point, 1 at a smooth point.
+    """
+    spec = f.spec
+    x, y, one = Poly.variable(spec, "x"), Poly.variable(spec, "y"), Poly.constant(spec, 1)
+    local = f.substitute([g.substitute((x, y, one)) for g in to_origin(spec, point)])
     if not local:
         raise PolyError("polynomial vanishes identically; multiplicity undefined")
     return min(sum(m) for m in local.terms)

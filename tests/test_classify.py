@@ -247,6 +247,23 @@ class TestSnapClassify:
         assert data["chosen"]["s"] == 1 and data["chosen"]["l"] == 4
         assert len(data["samples"]) == 5
 
+    def test_report_key_order_is_pinned(self):
+        # the order of HKReport's and Candidate's fields is the report schema
+        rep = snap_classify(synthetic(F(28, 9), 3, 4), 4, 3, smooth=True)
+        data = report_to_dict(rep)
+        assert list(data) == [
+            "curve", "d", "p", "samples", "status", "mu_estimate", "radius", "chosen",
+            "hkm", "alpha", "hn_slopes", "margin", "top_candidates", "unexcluded_tail",
+            "strongly_semistable_through", "notes",
+        ]
+        for cand in [data["chosen"], *data["top_candidates"]]:
+            assert list(cand) == ["case", "mu", "s", "l", "alternates"]
+        assert list(data["samples"][0]) == ["n", "q", "colength"]
+        assert list(data["hkm"]) == ["num", "den", "decimal"]
+        assert data["hn_slopes"] == [
+            {"num": -4, "den": 1, "decimal": -4.0}, {"num": -8, "den": 1, "decimal": -8.0},
+        ]
+
 
 def admissible_tuples(rng):
     """Random generator tuples for the synthetic round trip."""

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -84,6 +86,16 @@ class TestCompute:
         code, out, err = run(["smoothcheck", "--field", "GF(2)", *argv], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "nested too deeply" in err
+
+    @pytest.mark.parametrize("poly", ["(x+y+z)^3000", "(x+y+z)^40*(x+y+z)^40"],
+                             ids=["power", "product"])
+    def test_high_degree_poly_exits_2_at_once(self, capsys, poly):
+        start = time.perf_counter()
+        code, out, err = run(["smoothcheck", "--field", "GF(5)", "--poly", poly], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "exceeds the bound" in err
+        assert "Traceback" not in err
 
     def test_resource_guard_exits_3(self, capsys):
         code, _, err = run(
@@ -202,6 +214,18 @@ class TestClassify:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("field, poly, nmax, digest", [
+        ("GF(3)", "x^4+y^4+z^4", "4",
+         "20c9079d2dd8c86d07aa225e9d849abab21b0a2de9ce50cf4778e2aad2baef00"),
+        ("GF(7)", "x^3+y^3+z^3", "2",
+         "f9cff035c7527a2a50ced46666023524da12530ddeb38d98cf39dbfd60c5d254"),
+    ], ids=["semistable-not-strongly", "strongly-semistable"])
+    def test_report_bytes_are_pinned(self, capsys, field, poly, nmax, digest):
+        code, out, _ = run(["classify", "--field", field, "--poly", poly, "--nmax", nmax,
+                            "--no-timestamp"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_shared_parser_keeps_no_option_between_calls(self, capsys, tmp_path):
         # main reuses one parser; a path given to one call must not leak into the next

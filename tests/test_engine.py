@@ -280,6 +280,19 @@ class TestStructuralInvariants:
             b = syzygy_degrees(f, q)
             assert (closed + sum(x * x for x in b)) // 2 == colength_naive(f, q).colength
 
+    def test_point_at_infinity_keeps_the_field(self, gf2):
+        # over GF(2) this form vanishes at [1:0:0], [0:1:0] and every [a:b:1],
+        # but not at [1:1:0]: no move to GF(4) is needed
+        f = parse_poly("x*y*z + x^2*y", gf2)
+        g = engine._monic_in_z(f)
+        assert g.spec == gf2 and g.coefficient((0, 0, 3)) == gf2.one()
+        for q in (1, 2, 4, 8):
+            closed = sum(j * j - 3 * (q + j) ** 2 for j in range(3))
+            b = syzygy_degrees(f, q)
+            got = (closed + sum(x * x for x in b)) // 2
+            assert got == colength(f, q).colength == colength_naive(f, q).colength
+        assert got == 169
+
     def test_graded_block_shape_and_entries(self, monsky2_g1):
         blk = graded_block(monsky2_g1, 3, 4)
         dom, cod = truncated_basis(3, 4), truncated_basis(3 + monsky2_g1.d, 4)
@@ -414,6 +427,17 @@ class TestEmissionAndCache:
         samples = [HKSample(1, 3, 20)]
         data = json.loads(samples_to_json(samples))
         assert data == [{"n": 1, "q": 3, "colength": 20}]
+
+    def test_json_and_cache_bytes(self, tmp_path, nodal_cubic):
+        samples = [HKSample(0, 1, 1), HKSample(1, 3, 20)]
+        assert samples_to_json(samples) == (
+            '[\n  {\n    "n": 0,\n    "q": 1,\n    "colength": 1\n  },\n'
+            '  {\n    "n": 1,\n    "q": 3,\n    "colength": 20\n  }\n]\n'
+        )
+        path = tmp_path / "cache.jsonl"
+        hk_sequence(nodal_cubic, 1, cache=SampleCache(str(path)))
+        record = '{"field": "GF(5)", "poly": "4*x^3 + 4*x^2*z + y^2*z", "n": %d, "q": %d, "colength": %d}\n'
+        assert path.read_text() == record % (0, 1, 1) + record % (1, 5, 55)
 
     def test_cache_extend_equals_fresh(self, tmp_path, nodal_cubic):
         path = tmp_path / "cache.jsonl"

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from hkcurves.gf import FieldSpec
 from hkcurves.poly import (
+    MAX_PARSE_DEGREE,
     HomogeneousPoly,
     InhomogeneousError,
     ParseError,
@@ -14,6 +15,7 @@ from hkcurves.poly import (
     multiplicity_at,
     parse_poly,
     partial,
+    to_origin,
 )
 
 FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(5), FieldSpec(2, 2), FieldSpec(3, 2)]
@@ -95,6 +97,13 @@ class TestParse:
         f = parse_poly("[1,0]*x^2 + [1,1]*y*z", gf4)
         assert f.coefficient((2, 0, 0)) == gf4.gen()
 
+    def test_degree_bound_is_checked_before_expanding(self, gf5):
+        assert parse_poly("x^32*y^32", gf5).d == MAX_PARSE_DEGREE == 64
+        assert parse_poly("(x^8)^8", gf5).d == 64
+        for bad in ["x^32*y^33", "(x^8)^9", "(x+y+z)^3000", "x*(x+y+z)^64"]:
+            with pytest.raises(ParseError, match="exceeds the bound 64"):
+                parse_poly(bad, gf5)
+
     def test_double_star_power(self, gf5):
         assert parse_poly("x**2 + y*z", gf5) == parse_poly("x^2 + y*z", gf5)
 
@@ -165,6 +174,32 @@ class TestMultiplicity:
     def test_rejects_origin(self, nodal_cubic):
         with pytest.raises(PolyError):
             multiplicity_at(nodal_cubic, (0, 0, 0))
+
+
+class TestToOrigin:
+    @pytest.mark.parametrize("point, images", [
+        ((1, 0, 0), ("z", "y", "x")),
+        ((0, 1, 0), ("x", "z", "y")),
+        ((2, 3, 1), ("x + 2*z", "y + 3*z", "z")),
+        ((2, 4, 2), ("x + z", "y + 2*z", "z")),
+        ((4, 1, 0), ("x + 4*z", "z", "y")),
+        ((3, 3, 0), ("x + z", "z", "y")),
+    ])
+    def test_images(self, gf5, point, images):
+        assert to_origin(gf5, point) == [parse_poly(t, gf5) for t in images]
+
+    @pytest.mark.parametrize("point", [(0, 0, 1), (1, 0, 0), (2, 1, 0), (3, 4, 1), (1, 2, 3)])
+    def test_z_power_coefficient_is_the_value_at_the_point(self, nodal_cubic, point):
+        spec = nodal_cubic.spec
+        g = nodal_cubic.substitute(to_origin(spec, point))
+        chart = max(i for i, c in enumerate(point) if c)
+        scaled = [spec.element(c) * spec.element(point[chart]).inverse() for c in point]
+        assert g.coefficient((0, 0, 3)) == nodal_cubic.evaluate(scaled)
+        assert multiplicity_at(g, (0, 0, 1)) == multiplicity_at(nodal_cubic, point)
+
+    def test_rejects_origin(self, gf5):
+        with pytest.raises(PolyError):
+            to_origin(gf5, (0, 0, 0))
 
 
 class TestPlaneCurve:
