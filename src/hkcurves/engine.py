@@ -1,12 +1,20 @@
 """Hilbert-Kunz engine for plane-curve cones.
 
 Computes HK(q) = len(S/(f, x^q, y^q, z^q)) for S = GF(p^k)[x, y, z] and
-q = p^n.  The quotient splits along the grading: writing T(j) for the
-number of degree-j monomials with all exponents < q, the degree-j piece
-has dimension T(j) - rank(B_{j-d}), B_n being multiplication by f from the
-truncated degree-n piece to the truncated degree-(n+d) piece.  The dense
-route sums the pieces, in closed form below q (B_n is injective there)
-and up to the first zero piece (the quotient is generated in degree 1).
+q = p^n.  Write B = S/(x^q, y^q, z^q), T(j) = dim B_j for the number of
+degree-j monomials with all exponents < q, and H for the Hilbert function
+of the quotient B/fB.  Then H(j) = T(j) - rank(f: B_(j-d) -> B_j), the
+rank of one graded block.  B is a complete intersection, so Gorenstein
+with socle degree 3(q-1), and
+
+    0 -> (0:_B f)(-d) -> B(-d) -> B -> B/fB -> 0,  dim (0:_B f)_i = H(3(q-1) - i)
+
+(the annihilator is Hom_B(B/fB, B), the Matlis dual of B/fB) give, for
+N = 3(q-1) + d, the duality H(j) - H(N-j) = T(j) - T(j-d).  So the dense
+route ranks only the pieces from ceil(N/2) up to the first zero piece
+(the quotient is generated in degree 1), each counted twice but H(N/2):
+for j < ceil(N/2) the differences H(j) - H(N-j) telescope to
+T(ceil(N/2) - d) + ... + T(ceil(N/2) - 1).
 
 The syzygy route reads HK(q) off one list of degrees.  For f monic in z,
 S/(f) is free over A = k[x, y] on 1, z, ..., z^(d-1), and the quotient is
@@ -252,8 +260,10 @@ def colength(f: HomogeneousPoly, q: int) -> HKSample:
 
     0 for a constant f.  On the syzygy route (see the module docstring) it
     is (sum j^2 - 3 sum (q+j)^2 + sum b^2) / 2 over j < d and the syzygy
-    degrees b; on the dense route, q^3 minus the summed ranks of the graded
-    multiplication-by-f blocks for 0 <= n <= 3(q-1) - d.
+    degrees b.  On the dense route it ranks the blocks f: B_(j-d) -> B_j
+    only for ceil(N/2) <= j <= 3(q-1), N = 3(q-1) + d, because
+    0 -> (0:_B f)(-d) -> B(-d) -> B -> B/fB -> 0 is exact and
+    dim (0:_B f)_i = H(3(q-1) - i), so H(j) - H(N-j) = T(j) - T(j-d).
     """
     n_frob = _validate_q(f.spec, q)
     d = f.d
@@ -264,11 +274,12 @@ def colength(f: HomogeneousPoly, q: int) -> HKSample:
     if f.spec.k > 1 or truncated_count(mid, q) * truncated_count(mid + d, q) > DENSE_CELL_LIMIT:
         closed = sum(j * j - 3 * (q + j) ** 2 for j in range(d))
         return HKSample(n_frob, q, (closed + sum(b * b for b in syzygy_degrees(f, q))) // 2)
-    # closed-form zone: either no map lands in degree j, or the block is the
-    # untruncated multiplication map, which is injective
-    j = min(max(d, q), j_max + 1)
-    total = sum(truncated_count(i, q) - truncated_count(i - d, q) for i in range(j))
-    while j <= j_max:
+    # H(j) - H(N - j) = T(j) - T(j - d) for N = j_max + d (module docstring):
+    # the differences below half = ceil(N/2) telescope to d values of T, and
+    # each piece from half up stands for itself and its mirror, H(N/2) excepted
+    half = (j_max + d + 1) // 2
+    total = sum(truncated_count(j, q) for j in range(half - d, half))
+    for j in range(half, j_max + 1):
         dim_q = truncated_count(j, q) - block_rank(f, j - d, q, "dense")
         if dim_q < 0:  # pragma: no cover - internal sanity
             raise AssertionError("block rank exceeded codomain dimension")
@@ -276,8 +287,7 @@ def colength(f: HomogeneousPoly, q: int) -> HKSample:
             # the quotient algebra is standard graded: a zero piece forces
             # every higher piece to vanish
             break
-        total += dim_q
-        j += 1
+        total += dim_q if 2 * j == j_max + d else 2 * dim_q
     return HKSample(n_frob, q, total)
 
 

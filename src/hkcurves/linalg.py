@@ -149,14 +149,28 @@ def restrict_scalars(idx: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Blow an index matrix over GF(p^k) up to a (km) x (kn) matrix over GF(p).
 
     Block (i, j) is mul_matrix of entry (i, j); one is built per distinct entry.
+    On a field of at most 65536 elements the distinct entries are marked in
+    a boolean array of the field's size and renumbered through a lookup
+    table of the index dtype: one array shaped and typed like `idx`, where
+    np.unique, kept for larger fields, sorts m*n entries and returns an
+    int64 inverse of m*n more.
     """
     m, n = idx.shape
     k = field.k
-    values, where = np.unique(idx.ravel(), return_inverse=True)
+    if field.order <= 65536:
+        present = np.zeros(field.order, dtype=bool)
+        present[idx] = True
+        values = np.flatnonzero(present)
+        lookup = np.zeros(field.order, dtype=idx.dtype)
+        lookup[values] = np.arange(values.size)
+        where = lookup[idx]
+    else:
+        values, where = np.unique(idx, return_inverse=True)
+        where = where.reshape(m, n)
     table = np.array(
         [mul_matrix(field.from_index(int(v))) for v in values], dtype=_index_dtype(field.p)
     ).reshape(-1, k, k)
-    blocks = table[where.reshape(m, n)]  # (m, n, k, k)
+    blocks = table[where]  # (m, n, k, k)
     return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3).reshape(m * k, n * k))
 
 

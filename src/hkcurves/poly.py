@@ -265,6 +265,14 @@ def _check_degree(*factors: Poly, times: int = 1) -> None:
         raise ParseError(f"a product or power of degree {d} exceeds the bound {MAX_PARSE_DEGREE}")
 
 
+def _natural(tok: str) -> int:
+    """int(tok) for a digit token; Python refuses more than 4,300 digits."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"an integer of {len(tok)} digits is too long to read") from None
+
+
 class _Parser:
     def __init__(self, tokens: list[str], spec: FieldSpec):
         self.tokens = tokens
@@ -318,8 +326,9 @@ class _Parser:
             tok = self.next()
             if not tok.isdigit():
                 raise ParseError(f"exponent must be a natural number, got {tok!r}")
-            _check_degree(base, times=int(tok))
-            return base ** int(tok)
+            times = _natural(tok)
+            _check_degree(base, times=times)
+            return base ** times
         return base
 
     def atom(self) -> Poly:
@@ -334,7 +343,7 @@ class _Parser:
         if tok in VARS:
             return Poly.variable(self.spec, tok)
         if tok.isdigit():
-            return Poly.constant(self.spec, int(tok))
+            return Poly.constant(self.spec, _natural(tok))
         if tok.startswith("["):
             inner = tok[1:-1].strip()
             try:
@@ -350,7 +359,8 @@ def parse_poly(text: str, spec: FieldSpec) -> HomogeneousPoly:
 
     Field constants are integers (prime-subfield values) or bracketed
     coefficient lists `[c_{k-1},...,c_0]`, most significant first.
-    Raises on syntax errors, on nesting too deep for the recursive-descent
+    Raises on syntax errors, on an integer of more digits than Python
+    reads (4,300 by default), on nesting too deep for the recursive-descent
     parser, on a product or power of total degree above MAX_PARSE_DEGREE
     (64), checked before it is expanded, on inhomogeneous input (reporting
     two differing term degrees) and on the zero polynomial.

@@ -97,6 +97,13 @@ class TestCompute:
         assert err.startswith("error:") and "exceeds the bound" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("poly", ["x^2+y^2+" + "9" * 5000 + "*z^2", "x^" + "9" * 5000],
+                             ids=["constant", "exponent"])
+    def test_overlong_integer_exits_2(self, capsys, poly):
+        code, out, err = run(["smoothcheck", "--field", "GF(5)", "--poly", poly], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "5000 digits" in err
+
     def test_resource_guard_exits_3(self, capsys):
         code, _, err = run(
             ["compute", "--field", "GF(5)", "--poly", NODAL, "--nmax", "3",

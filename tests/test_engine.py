@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -358,6 +359,79 @@ class TestPerSampleRouting:
                 largest = max((block_cells(n, d, q) for n in range(j_max - d + 1)), default=0)
                 mid = (j_max - d) // 2
                 assert block_cells(mid, d, q) == largest, (q, d)
+
+
+def duality_forms():
+    """Seeded forms over GF(2), GF(3), GF(5), GF(7): dense, sparse without z^d, reducible."""
+    from hkcurves.poly import HomogeneousPoly
+
+    rng = random.Random(22)
+    forms = []
+    for p in (2, 3, 5, 7):
+        spec = FieldSpec(p)
+
+        def form(d, mons=None):
+            mons = mons or monomials_of_degree(d)
+            chosen = rng.sample(mons, min(len(mons), rng.randint(2, 6)))
+            return HomogeneousPoly(spec, {m: spec.from_index(rng.randrange(1, p)) for m in chosen})
+
+        d = rng.randint(2, 5)
+        # every monomial, with random nonzero coefficients
+        forms.append(HomogeneousPoly(spec, {m: spec.from_index(rng.randrange(1, p))
+                                            for m in monomials_of_degree(d)}))
+        # no z^d term, so the syzygy route has to move a point
+        forms.append(form(d, [m for m in monomials_of_degree(d) if m[2] != d]))
+        # a line times a conic: reducible, so singular where they meet
+        line = parse_poly("x + y", spec)
+        forms.append(HomogeneousPoly.from_poly(line * form(2)))
+    forms.append(parse_poly("y^2*z - x^3 - x^2*z", FieldSpec(5)))  # the nodal cubic
+    return forms
+
+
+def q_up_to(p, limit):
+    q = 1
+    while q <= limit:
+        yield q
+        q *= p
+
+
+class TestGorensteinDuality:
+    """B = S/(x^q, y^q, z^q) is Gorenstein: H(j) - H(N-j) = T(j) - T(j-d), N = 3(q-1) + d."""
+
+    @pytest.mark.parametrize("f", duality_forms(), ids=lambda f: f"{f.spec}:{f}")
+    def test_hilbert_function_duality(self, f):
+        d = f.d
+        for q in q_up_to(f.spec.p, 27):
+            j_max, big_n = 3 * (q - 1), 3 * (q - 1) + d
+            h = [truncated_count(j, q) - block_rank(f, j - d, q, "dense") if j <= j_max else 0
+                 for j in range(big_n + 1)]
+            for j in range(big_n + 1):
+                assert h[j] - h[big_n - j] == truncated_count(j, q) - truncated_count(j - d, q), (q, j)
+
+    @pytest.mark.parametrize("f", duality_forms(), ids=lambda f: f"{f.spec}:{f}")
+    def test_colength_ranks_only_the_upper_half(self, f, monkeypatch):
+        ranked = []
+
+        def recording(g, n, q, method):
+            ranked.append(n)
+            return block_rank(g, n, q, method)
+
+        d, dense_samples = f.d, 0
+        for q in q_up_to(f.spec.p, 27):
+            ranked.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(engine, "block_rank", recording)
+                got = colength(f, q).colength
+            half = (3 * (q - 1) + d + 1) // 2
+            assert all(n >= half - d for n in ranked), (q, ranked)
+            dense_samples += bool(ranked)
+            assert got == colength_by_blocks(f, q, "dense")
+            with monkeypatch.context() as patched:
+                patched.setattr(engine, "DENSE_CELL_LIMIT", 0)  # every sample on the formula
+                assert colength(f, q).colength == got
+            if q <= oracle_cutoff(f.spec.p):
+                assert colength_naive(f, q).colength == got
+        assert dense_samples  # the recording saw the dense route
 
 
 class TestHKSequence:

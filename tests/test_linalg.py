@@ -129,6 +129,15 @@ class TestKernels:
                 block = blown[i * k:(i + 1) * k, j * k:(j + 1) * k]
                 assert np.array_equal(block, mul_matrix(field.from_index(int(idx[i, j]))))
 
+    @pytest.mark.parametrize("field", [FieldSpec(2, 2), FieldSpec(3, 2), FieldSpec(2, 16)], ids=str)
+    def test_restrict_scalars_keeps_narrow_indices(self, field):
+        # the engine's index arrays are uint8/uint16; the renumbering keeps that dtype
+        rng = np.random.default_rng(8)
+        idx = rng.integers(0, field.order, size=(9, 4))
+        idx[:, 0] = 0
+        narrow = idx.astype(np.uint8 if field.order <= 256 else np.uint16)
+        assert np.array_equal(restrict_scalars(narrow, field), restrict_scalars(idx, field))
+
     @pytest.mark.parametrize("field", [FieldSpec(2, 3), FieldSpec(3, 2)], ids=str)
     def test_mul_matrix_multiplies(self, field):
         p = field.p
