@@ -32,8 +32,6 @@ STRONGLY_SEMISTABLE = "strongly_semistable"
 NOT_SEMISTABLE = "not_semistable"
 SEMISTABLE_NOT_STRONGLY = "semistable_not_strongly"
 
-CASES = (STRONGLY_SEMISTABLE, NOT_SEMISTABLE, SEMISTABLE_NOT_STRONGLY)
-
 
 class ClassifyError(ValueError):
     pass

@@ -226,15 +226,26 @@ def _syzygy_series(g: HomogeneousPoly, q: int) -> np.ndarray:
 def syzygy_degrees(f: HomogeneousPoly, q: int) -> tuple[int, ...]:
     """Generator degrees b_1 <= ... <= b_2d of Syz_R(x^q, y^q, z^q) over k[x, y].
 
-    Read off one order basis over GF(p)[x]; see the module docstring.
+    Read off one order basis over GF(p)[x]; see the module docstring.  The
+    int64 arithmetic is exact while (d+1) k (p-1)^2 + p < 2^63 (and
+    p^2 + p < 2^63, for `order_basis_degrees`): `_syzygy_series` subtracts
+    up to d+1 products of k terms below p from an entry below p before it
+    reduces mod p.  Past that bound, or when the (q, 2kd, kd) int64 series
+    would not fit in np.intp bytes, it raises ResourceLimitError before
+    building anything, the point search of `_monic_in_z` included.
     """
     _validate_q(f.spec, q)
     if f.d == 0:
         raise EngineError("syzygy degrees need a form of positive degree")
+    p, k, d = f.spec.p, f.spec.k, f.d
+    if max(p * p, (d + 1) * k * (p - 1) ** 2) + p >= 2**63:
+        raise ResourceLimitError(f"the syzygy route's int64 arithmetic is not exact for p = {p}")
+    if q * 2 * (k * d) ** 2 * 8 > np.iinfo(np.intp).max:
+        raise ResourceLimitError(f"the syzygy series for q = {q} exceeds the address space")
     g = _monic_in_z(f)
-    k, d = g.spec.k, g.d
+    k = g.spec.k  # 2k only when d > p^k: tiny fields, far inside the int64 bound
     shifts = [q + i for i in range(d) for _ in range(k)] * 2
-    degs = sorted(order_basis_degrees(_syzygy_series(g, q), shifts, g.spec.p))
+    degs = sorted(order_basis_degrees(_syzygy_series(g, q), shifts, p))
     b = degs[::k]
     if degs != sorted(b * k):  # pragma: no cover - restriction of scalars repeats each degree k times
         raise AssertionError("restricted syzygy degrees are not k-fold")
@@ -399,7 +410,13 @@ def samples_to_json(samples: Iterable[HKSample]) -> str:
 
 
 class SampleCache:
-    """Line-oriented JSON cache keyed by (field, canonical polynomial, q)."""
+    """Line-oriented JSON cache keyed by (field, canonical polynomial, q).
+
+    A record is trusted only when "field" and "poly" are strings and "q"
+    and "colength" are JSON integers (not floats, booleans or digit
+    strings).  Any other line is corrupt: an EngineError in the middle of
+    the file, a dropped torn write as the last line.
+    """
 
     def __init__(self, path: str):
         self.path = path
@@ -415,9 +432,11 @@ class SampleCache:
             try:
                 if line.strip():
                     rec = json.loads(line)
-                    key = (rec["field"], rec["poly"], int(rec["q"]))
-                    self._data[key] = int(rec["colength"])
-            except (ValueError, KeyError, TypeError) as exc:
+                    field, poly, q, value = rec["field"], rec["poly"], rec["q"], rec["colength"]
+                    if not (type(field) is type(poly) is str and type(q) is type(value) is int):
+                        raise ValueError("field and poly must be strings, q and colength integers")
+                    self._data[(field, poly, q)] = value
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 if no < len(lines):
                     raise EngineError(f"corrupt cache {path}, line {no}: {exc}") from exc
                 # no newline after it: a write that was cut off

@@ -8,11 +8,14 @@ lambda^2 + lambda = alpha, and in characteristic 3 the curves
 z^4 - x*y*(x+y)*(x+lambda*y) have HKM = 3 + 3^(-2*d(lambda)) with
 d(lambda) the degree of lambda over GF(3).  Matching those against the
 trichotomy forces l = 4 and s = m (resp. s = d), which is what the
-classifier should recover from raw colength data.
+classifier should recover from raw colength data.  Both constructors
+check their parameter and build the curve and prediction 3 + p^(-2s)
+through one helper, `_quartic`.
 
 Curves with a point of multiplicity r >= d/2 give the third family:
 HKM = 3d/4 + (2r-d)^2/4d, strongly semistable at r = d/2 and destabilized
-already at s = 0 (with l = 2r - d) for r > d/2.
+already at s = 0 (with l = 2r - d) for r > d/2.  The built-in
+representatives stop at degree MAX_PARSE_DEGREE, like every parsed form.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from typing import Iterable
 
 from .classify import HKReport, snap_classify
 from .engine import hk_sequence
-from .gf import FieldElement, FieldSpec, d_lambda, frobenius_orbit_degree, m_alpha
-from .poly import VARS, HomogeneousPoly, PlaneCurve, Poly
+from .gf import FieldElement, FieldSpec, d_lambda, m_alpha
+from .poly import MAX_PARSE_DEGREE, VARS, HomogeneousPoly, PlaneCurve, Poly
 
 
 class FamilyError(ValueError):
@@ -40,7 +43,6 @@ class FamilyPrediction:
     predicted_hkm: Fraction
     predicted_s: int | None  # None marks strong semistability (s = infinity)
     predicted_l: int
-    provenance: str
     param: str = ""
 
 
@@ -48,29 +50,21 @@ def _xyz(spec: FieldSpec) -> tuple[Poly, ...]:
     return tuple(Poly.variable(spec, v) for v in VARS)
 
 
+def _quartic(f: Poly, name: str, s: int, param: FieldElement) -> FamilyPrediction:
+    """A smooth Monsky quartic: HKM = 3 + p^(-2s), destabilized at s with l = 4."""
+    curve = PlaneCurve(HomogeneousPoly.from_poly(f), known_smooth=True, name=name)
+    return FamilyPrediction(curve, 3 + Fraction(1, curve.p ** (2 * s)), s, 4, str(param))
+
+
 def monsky_char2(alpha: FieldElement) -> FamilyPrediction:
     """Characteristic-2 quartic with HKM = 3 + 4^(-m(alpha)), alpha != 0."""
-    spec = alpha.spec
-    if spec.p != 2:
+    if alpha.spec.p != 2:
         raise FamilyError("this family lives in characteristic 2")
     if not alpha:
         raise FamilyError("alpha must be nonzero")
-    x, y, z = _xyz(spec)
+    x, y, z = _xyz(alpha.spec)
     f = alpha * x**2 * y**2 + z**4 + x * y * z**2 + (x**3 + y**3) * z
-    m = m_alpha(alpha)
-    curve = PlaneCurve(
-        HomogeneousPoly.from_poly(f),
-        known_smooth=True,
-        name=f"monsky2(alpha={alpha})",
-    )
-    return FamilyPrediction(
-        curve=curve,
-        predicted_hkm=3 + Fraction(1, 4**m),
-        predicted_s=m,
-        predicted_l=4,
-        provenance="char-2 quartic family: HKM = 3 + 4^(-m(alpha))",
-        param=str(alpha),
-    )
+    return _quartic(f, f"monsky2(alpha={alpha})", m_alpha(alpha), alpha)
 
 
 def monsky_char3(lam: FieldElement) -> FamilyPrediction:
@@ -82,20 +76,7 @@ def monsky_char3(lam: FieldElement) -> FamilyPrediction:
         raise FamilyError("lambda must avoid {0, 1}")
     x, y, z = _xyz(spec)
     f = z**4 - x * y * (x + y) * (x + lam * y)
-    dl = d_lambda(lam)
-    curve = PlaneCurve(
-        HomogeneousPoly.from_poly(f),
-        known_smooth=True,
-        name=f"monsky3(lambda={lam})",
-    )
-    return FamilyPrediction(
-        curve=curve,
-        predicted_hkm=3 + Fraction(1, 3 ** (2 * dl)),
-        predicted_s=dl,
-        predicted_l=4,
-        provenance="char-3 quartic family: HKM = 3 + p^(-2 d(lambda))",
-        param=str(lam),
-    )
+    return _quartic(f, f"monsky3(lambda={lam})", d_lambda(lam), lam)
 
 
 def singular_prediction(d: int, r: int) -> Fraction:
@@ -114,8 +95,12 @@ def singular_curve(d: int, r: int, spec: FieldSpec) -> PlaneCurve:
 
     The binomial is irreducible over the closure exactly when gcd(d, r) = 1,
     so other parameter pairs have no built-in curve (the prediction formula
-    is still available for user-supplied equations).
+    is still available for user-supplied equations).  The degree is bounded
+    by MAX_PARSE_DEGREE, as every parsed form is: classification enumerates
+    about d^2/2 candidates per Frobenius level.
     """
+    if d > MAX_PARSE_DEGREE:
+        raise FamilyError(f"singular family degree {d} exceeds the bound {MAX_PARSE_DEGREE}")
     if not (1 <= r < d):
         raise FamilyError(f"need 1 <= r < d, got r={r}, d={d}")
     if math.gcd(d, r) != 1:
@@ -134,16 +119,8 @@ def singular_curve(d: int, r: int, spec: FieldSpec) -> PlaneCurve:
 
 def singular_family(d: int, r: int, spec: FieldSpec) -> FamilyPrediction:
     curve = singular_curve(d, r, spec)
-    hkm = singular_prediction(d, r)
     l = 2 * r - d
-    return FamilyPrediction(
-        curve=curve,
-        predicted_hkm=hkm,
-        predicted_s=None if l == 0 else 0,
-        predicted_l=l,
-        provenance="multiplicity-r point: HKM = 3d/4 + (2r-d)^2/4d",
-        param=f"d={d},r={r}",
-    )
+    return FamilyPrediction(curve, singular_prediction(d, r), None if l == 0 else 0, l, f"d={d},r={r}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +138,20 @@ class SweepRow:
 
 
 def _orbit_representatives(spec: FieldSpec, exclude: set[int]) -> list[FieldElement]:
-    """One element per Frobenius orbit, the smallest index representing each."""
-    seen: set[int] = set()
+    """One element per Frobenius orbit, the smallest index representing each.
+
+    `exclude` must be a union of orbits (here: fixed elements).  Each new
+    orbit is marked in one walk, which ends where it started.
+    """
+    seen = set(exclude)
     reps = []
     for idx in range(spec.order):
-        if idx in exclude or idx in seen:
-            continue
-        a = b = spec.from_index(idx)
-        for _ in range(frobenius_orbit_degree(a)):
-            seen.add(b.index())
-            b = b.frobenius()
-        reps.append(a)
+        if idx not in seen:
+            b = spec.from_index(idx)
+            reps.append(b)
+            while (i := b.index()) not in seen:
+                seen.add(i)
+                b = b.frobenius()
     return reps
 
 

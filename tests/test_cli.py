@@ -1,8 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkcurves import cli
 from hkcurves.cli import main
@@ -103,6 +109,24 @@ class TestCompute:
         code, out, err = run(["smoothcheck", "--field", "GF(5)", "--poly", poly], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "5000 digits" in err
+
+    @pytest.mark.parametrize("poly", ["x^2+y^2+z^2", "x^2+y^2-z^2"], ids=["plus", "minus"])
+    def test_characteristic_past_int64_exits_3(self, capsys, poly):
+        # 2^63 + 29 is prime: the syzygy route's int64 arithmetic cannot hold it
+        code, out, err = run(["compute", "--field", "GF(9223372036854775837)", "--poly", poly,
+                              "--nmax", "1"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("resource limit:") and "not exact" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["1e400", "2.0"])
+    def test_non_integer_cache_record_exits_2(self, capsys, tmp_path, value):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text('{"field": "GF(2)", "poly": "x^2 + y*z", "q": %s, "colength": 99}\n' % value)
+        code, out, err = run(["compute", "--field", "GF(2)", "--poly", "x^2+y*z", "--nmax", "1",
+                              "--cache", str(cache)], capsys)
+        assert code == 2 and out == ""
+        assert "corrupt cache" in err and "Traceback" not in err
 
     def test_resource_guard_exits_3(self, capsys):
         code, _, err = run(
@@ -329,6 +353,14 @@ class TestFamily:
         code, _, _ = run(["family", "monsky9", "--nmax", "2"], capsys)
         assert code == 2
 
+    def test_singular_degree_is_bounded(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(["family", "singular", "--d", "20001", "--r", "10001",
+                              "--field", "GF(5)", "--nmax", "2"], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: singular family degree 20001 exceeds the bound 64")
+
     def test_singular_needs_parameters(self, capsys):
         code, _, err = run(["family", "singular", "--nmax", "2"], capsys)
         assert code == 2
@@ -408,3 +440,53 @@ class TestUnusablePaths:
              "--cache", str(tmp_path)], capsys
         )
         assert code == 2 and err.startswith("error: ")
+
+
+class TestFuzz:
+    """Malformed input ends in a documented exit code, never an escaped exception."""
+
+    VALUES = ["1e400", "-1e400", "NaN", "Infinity", "2.0", "2.5", "true", "false", "null",
+              '"8"', '"GF(2)"', "[1, [2, []]]", "{}", "1", "2", "6", "-3"]
+
+    @staticmethod
+    def main_quietly(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=st.lists(st.tuples(st.sampled_from(VALUES), st.sampled_from(VALUES)), max_size=4),
+        tail=st.sampled_from(["\n", "", "torn"]),
+        command=st.sampled_from(["compute", "classify"]),
+        nmax=st.integers(0, 2),
+    )
+    def test_cache_files(self, records, tail, command, nmax):
+        lines = ['{"field": "GF(2)", "poly": "x^2 + y*z", "q": %s, "colength": %s}' % r
+                 for r in records]
+        text = "\n".join(lines)
+        if tail == "torn":
+            text = text[: len(text) // 2]
+        elif lines:
+            text += tail
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = os.path.join(tmp, "cache.jsonl")
+            with open(cache, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            code = self.main_quietly([command, "--field", "GF(2)", "--poly", "x^2+y*z",
+                                      "--nmax", str(nmax), "--cache", cache])
+        assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        field=st.one_of(st.sampled_from(["GF(2)", "GF(3)", "GF(5)", "GF(2^2)", "GF(3^2)",
+                                         "GF(2^2; modulus=1,1,1)"]),
+                        st.text(alphabet="GF(2^3;)", max_size=6)),
+        # single digits keep every form of degree <= 9 and every example cheap
+        poly=st.text(alphabet="xyz+-*^()0123 ", max_size=8).filter(
+            lambda s: not any(a.isdigit() and b.isdigit() for a, b in zip(s, s[1:]))),
+        command=st.sampled_from(["compute", "classify"]),
+        nmax=st.integers(0, 2),
+    )
+    def test_field_and_poly_texts(self, field, poly, command, nmax):
+        code = self.main_quietly([command, "--field", field, "--poly", poly, "--nmax", str(nmax)])
+        assert code in (0, 2, 3, 4)

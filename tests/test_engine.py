@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -492,6 +493,24 @@ class TestSmoothCheck:
         assert smooth_check(PlaneCurve(f)) is False
 
 
+class TestSyzygyGuards:
+    @pytest.mark.parametrize("poly,reason", [
+        ("z", "address space"),
+        ("x^2+y^2+z^2", "not exact"),
+        ("x*y", "not exact"),  # before a search through the 2^31 points [0:b:1] on the curve
+    ], ids=["series-size", "int64-exactness", "before-point-search"])
+    def test_huge_q_raises_before_allocating(self, poly, reason):
+        f = parse_poly(poly, FieldSpec(2**31 - 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=reason):
+                colength(f, (2**31 - 1) ** 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestEmissionAndCache:
     def test_csv_shape(self):
         samples = [HKSample(0, 1, 1), HKSample(1, 2, 6)]
@@ -525,6 +544,19 @@ class TestEmissionAndCache:
         # the cache file is line-oriented JSON
         lines = path.read_text().strip().splitlines()
         assert all(json.loads(line)["poly"] for line in lines)
+
+    @pytest.mark.parametrize("key", ["q", "colength"])
+    @pytest.mark.parametrize("value", ["1e400", "2.0", "2.5", "true", '"8"', "[" * 10**5 + "]" * 10**5],
+                             ids=["1e400", "2.0", "2.5", "true", "string", "deep-list"])
+    def test_only_integer_records_are_trusted(self, tmp_path, key, value):
+        record = {"field": '"GF(2)"', "poly": '"x^2 + y*z"', "q": "2", "colength": "3"}
+        line = "{%s}" % ", ".join(f'"{k}": {value if k == key else v}' for k, v in record.items())
+        path = tmp_path / "cache.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(EngineError, match="line 1"):
+            SampleCache(str(path))
+        path.write_text(line)  # a torn last line is dropped instead
+        assert SampleCache(str(path)).get(parse_poly("x^2+y*z", FieldSpec(2)), 2) is None
 
     def test_cache_distinguishes_fields(self, tmp_path, gf2, gf4):
         path = tmp_path / "cache.jsonl"
