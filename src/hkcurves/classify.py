@@ -1,13 +1,14 @@
 """Snap HK sample sequences onto the exact trichotomy for plane curves.
 
-A plane curve of degree d has HK multiplicity of one of three shapes:
-3d/4 (kernel bundle strongly semistable), 3d/4 + l^2/4d (not semistable,
-0 < l < d, l = d mod 2), or 3d/4 + l^2/(4d p^(2s)) (destabilized first by
-the s-th Frobenius pullback, s >= 1, 0 < l <= d(d-3), l = pd mod 2).  The
-classifier enumerates every admissible exact value, estimates the
-multiplicity from the two largest samples, and accepts a candidate only
-when the estimated error is beaten by half the gap to the nearest rival;
-otherwise it reports Ambiguous with the contenders.  All arithmetic is in
+A plane curve of degree d has HK multiplicity 3d/4 when its kernel bundle
+is strongly semistable, and 3d/4 + l^2/(4d p^(2s)) otherwise: s is the
+first Frobenius pullback that destabilizes it (s = 0: the bundle itself
+is not semistable), 0 < l < d at s = 0 and 0 < l <= d(d-3) at s >= 1,
+and l = d mod 2 at s = 0, l = pd mod 2 after.  The classifier enumerates
+every admissible exact value, estimates the multiplicity from the two
+largest samples, and accepts a candidate only when the estimated error is
+beaten by half the gap to the nearest rival; otherwise it reports
+Ambiguous with the contenders.  All arithmetic is in
 exact rationals: candidate gaps shrink like p^(-2s) and floats would
 alias them.
 
@@ -21,9 +22,10 @@ report rather than silently dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from typing import Sequence
 
 from .engine import HKSample, to_json
@@ -54,10 +56,20 @@ class Candidate:
     l: int | None = None
     alternates: tuple["Candidate", ...] = ()
 
+    @property
+    def interpretations(self) -> tuple["Candidate", ...]:
+        """Every (case, s, l) reading of this value, the primary one first."""
+        return (self, *self.alternates)
+
     def describe(self) -> str:
         if self.case == STRONGLY_SEMISTABLE:
             return f"{self.case} (mu={self.mu})"
         return f"{self.case} (mu={self.mu}, s={self.s}, l={self.l})"
+
+
+def _parity(d: int, p: int, s: int) -> int:
+    """l must be congruent to this mod 2: d for the bundle itself, pd after a pullback."""
+    return d if s == 0 else p * d
 
 
 @lru_cache(maxsize=32)
@@ -81,31 +93,18 @@ def candidate_set(
     if s_cut < 1:
         raise ClassifyError("s_cut must be >= 1")
     base = Fraction(3 * d, 4)
-    raw: list[Candidate] = [Candidate(STRONGLY_SEMISTABLE, base)]
-    if smooth is not True:
-        for l in range(1, d):
-            if (l - d) % 2 == 0:
-                raw.append(Candidate(NOT_SEMISTABLE, base + Fraction(l * l, 4 * d), 0, l))
-    l_max = d * (d - 3)
-    for s in range(1, s_cut + 1):
-        for l in range(1, l_max + 1):
-            if (l - p * d) % 2 == 0:
-                mu = base + Fraction(l * l, 4 * d * p ** (2 * s))
-                raw.append(Candidate(SEMISTABLE_NOT_STRONGLY, mu, s, l))
-    raw = [c for c in raw if c.mu < d]
-
-    by_mu: dict[Fraction, list[Candidate]] = {}
-    for c in raw:
-        by_mu.setdefault(c.mu, []).append(c)
-    merged: list[Candidate] = []
-    for mu, group in by_mu.items():
-        group.sort(key=lambda c: (-(c.s if c.s is not None else -1), c.l or 0))
-        primary = group[0]
-        if len(group) > 1:
-            primary = Candidate(primary.case, primary.mu, primary.s, primary.l,
-                                tuple(group[1:]))
-        merged.append(primary)
-    merged.sort(key=lambda c: c.mu)
+    raw = [
+        Candidate(SEMISTABLE_NOT_STRONGLY if s else NOT_SEMISTABLE, mu, s, l)
+        for s in range(1 if smooth is True else 0, s_cut + 1)
+        for l in range(1, d if s == 0 else d * (d - 3) + 1)
+        if (l - _parity(d, p, s)) % 2 == 0
+        and (mu := base + Fraction(l * l, 4 * d * p ** (2 * s))) < d
+    ]
+    raw.sort(key=lambda c: (c.mu, -c.s, c.l))
+    merged = [Candidate(STRONGLY_SEMISTABLE, base)]
+    for _, group in groupby(raw, key=lambda c: c.mu):
+        primary, *rest = group
+        merged.append(replace(primary, alternates=tuple(rest)) if rest else primary)
     return tuple(merged)
 
 
@@ -176,8 +175,7 @@ def slopes(s: int, l: int, d: int, p: int) -> tuple[Fraction, Fraction]:
     """
     if s < 0 or l <= 0:
         raise ClassifyError("need s >= 0 and l > 0")
-    parity_ref = d if s == 0 else p * d
-    if (l - parity_ref) % 2 != 0:
+    if (l - _parity(d, p, s)) % 2 != 0:
         raise ClassifyError(
             f"parity violation: l = {l} must be congruent to {'d' if s == 0 else 'pd'} (mod 2)"
         )
@@ -275,7 +273,7 @@ def snap_classify(
     folded: list[Candidate] = []
     if best.case == STRONGLY_SEMISTABLE:
         zone = [c for c in cands if c is not best and abs(c.mu - best.mu) <= 2 * err]
-        blockers = [c for c in zone if NOT_SEMISTABLE in _interpretation_cases(c)]
+        blockers = [c for c in zone if NOT_SEMISTABLE in {i.case for i in c.interpretations}]
         if blockers:
             notes.append(
                 "a not-semistable candidate lies within the resolution of this data; "
@@ -292,7 +290,7 @@ def snap_classify(
     if best.case == STRONGLY_SEMISTABLE:
         # the semistable-through bound must honor every interpretation of a
         # folded value, not just the primary one
-        s_star = min((_min_interpretation_s(c) for c in folded), default=s_cut + 1) - 1
+        s_star = min((i.s for c in folded for i in c.interpretations), default=s_cut + 1) - 1
         if s_star < 1:
             # even a first-pullback destabilization is below the noise floor;
             # the value claim would be empty, so stay ambiguous
@@ -315,15 +313,6 @@ def snap_classify(
     report.alpha = alpha_from_hkm(best.mu, d)
     report.margin = None if gap is None else gap / 2 - err
     return report
-
-
-def _interpretation_cases(c: Candidate) -> set[str]:
-    return {c.case} | {a.case for a in c.alternates}
-
-
-def _min_interpretation_s(c: Candidate) -> int:
-    ss = [c.s] + [a.s for a in c.alternates]
-    return min(s for s in ss if s is not None)
 
 
 def report_to_dict(report: HKReport) -> dict:

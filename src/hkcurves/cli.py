@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import __version__
-from .classify import ClassifyError, candidate_set, report_to_dict, snap_classify
+from .classify import STRONGLY_SEMISTABLE, ClassifyError, candidate_set, report_to_dict, snap_classify
 from .engine import (
     EngineError,
     ResourceLimitError,
@@ -135,7 +135,7 @@ def _print_summary(report, smooth) -> None:
     if report.accepted:
         c = report.chosen
         err.write(f"RESULT: {c.case}  HKM = {report.hkm} (~{float(report.hkm):.6f})\n")
-        if c.case != "strongly_semistable":
+        if c.case != STRONGLY_SEMISTABLE:
             err.write(f"  destabilization: s = {c.s}, l = {c.l}\n")
             err.write(f"  HN slopes of F^(s*)V: deg L1 = {report.hn_slopes[0]}, deg M1 = {report.hn_slopes[1]}\n")
         else:

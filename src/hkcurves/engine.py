@@ -42,9 +42,9 @@ it ranks the blocks densely (`block_rank`).  Small prime-field samples
 stay dense because perfbench keeps each command's output until a run
 ends, so a faster path runs more passes and reads as more memory.
 `colength_naive` is the grading-free oracle: one rank of the full
-q^3 x q^3 multiplication matrix.  It, the graded blocks and `smooth_check`
-build their index arrays with `_multiplication_matrix`.  `to_json` is the
-one encoder of reports, samples and cache records.
+q^3 x q^3 multiplication matrix.  It and `graded_block` build their index
+arrays with `_multiplication_matrix`; `smooth_check` ranks graded blocks
+too.  `to_json` is the one encoder of reports, samples and cache records.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable
 
 import numpy as np
@@ -172,14 +172,22 @@ def _monic_in_z(f: HomogeneousPoly) -> HomogeneousPoly:
     curve, searched lazily among [1:0:0], [0:1:0], every [a:b:1] and every
     [a:1:0], then scaled; when the curve holds every rational point, the
     same search over GF(p^(2k)).
+
+    a and b run over only the first d+1 elements, which finds the same
+    point as the whole field.  h = f(x, y, 1) is nonzero of degree <= d in
+    each variable.  A row h(a, .) that vanishes on d+1 elements vanishes
+    everywhere, and so does h if d+1 of its rows do; so the first point
+    off the curve in index order lies in the grid.  The [a:1:0] chart is
+    reached only when p^k <= d, and then the grid is the whole field.
     """
     g = f
     if not f.coefficient((0, 0, f.d)):
         spec = f.spec
+        grid = list(islice(spec.elements(), f.d + 1))
         points = chain(
             [(1, 0, 0), (0, 1, 0)],
-            ((a, b, 1) for a in spec.elements() for b in spec.elements()),
-            ((a, 1, 0) for a in spec.elements()),
+            ((a, b, 1) for a in grid for b in grid),
+            ((a, 1, 0) for a in grid),
         )
         point = next((pt for pt in points if f.evaluate(pt)), None)
         if point is None:
@@ -370,13 +378,10 @@ def smooth_check(curve: PlaneCurve) -> bool:
     """
     f = curve.f
     big_n = 3 * f.d - 3
-    target = truncated_basis(big_n, big_n + 1)  # every monomial of degree N
     gens = [f] + [g for g in (partial(f, v) for v in ("x", "y", "z")) if g is not None]
-    blocks = [
-        _multiplication_matrix(g, truncated_basis(big_n - g.d, big_n + 1), target)
-        for g in gens
-    ]
-    return rank(np.hstack(blocks), f.spec) == len(target)
+    # with q = N + 1 no exponent of degree N is truncated: each block maps onto all of S_N
+    blocks = [graded_block(g, big_n - g.d, big_n + 1) for g in gens]
+    return rank(np.hstack(blocks), f.spec) == truncated_count(big_n, big_n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +456,17 @@ class SampleCache:
         return (str(f.spec), str(f), q)
 
     def get(self, f: HomogeneousPoly, q: int) -> int | None:
-        return self._data.get(self._key(f, q))
+        """The cached colength of f at q, or None; an impossible one is an EngineError.
+
+        Made monic in z, f gives S/(f, x^q, y^q) free of rank d over
+        k[x, y]/(x^q, y^q), so HK(q) <= d q^2.  The record holds only the
+        polynomial's text, so this is the first place its degree is known.
+        """
+        value = self._data.get(self._key(f, q))
+        if value is not None and not 0 <= value <= f.d * q * q:
+            raise EngineError(f"corrupt cache {self.path}: colength {value} at q = {q} "
+                              f"lies outside [0, {f.d * q * q}] for degree {f.d}")
+        return value
 
     def put(self, f: HomogeneousPoly, sample: HKSample) -> None:
         key = self._key(f, sample.q)

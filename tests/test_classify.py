@@ -9,6 +9,7 @@ from hkcurves.classify import (
     NOT_SEMISTABLE,
     SEMISTABLE_NOT_STRONGLY,
     STRONGLY_SEMISTABLE,
+    Candidate,
     ClassifyError,
     alpha_from_hkm,
     candidate_set,
@@ -28,6 +29,37 @@ def synthetic(mu, p, n_max, noise=None, rng=None):
         e = 0 if noise is None else noise(q, rng)
         out.append(HKSample(n, q, max(0, int(mu * q * q) + e)))
     return out
+
+
+def two_loop_candidate_set(d, p, s_cut, smooth=None):
+    """A frozen copy of the two-loop enumeration, kept as the reference."""
+    base = F(3 * d, 4)
+    raw = [Candidate(STRONGLY_SEMISTABLE, base)]
+    if smooth is not True:
+        for l in range(1, d):
+            if (l - d) % 2 == 0:
+                raw.append(Candidate(NOT_SEMISTABLE, base + F(l * l, 4 * d), 0, l))
+    l_max = d * (d - 3)
+    for s in range(1, s_cut + 1):
+        for l in range(1, l_max + 1):
+            if (l - p * d) % 2 == 0:
+                mu = base + F(l * l, 4 * d * p ** (2 * s))
+                raw.append(Candidate(SEMISTABLE_NOT_STRONGLY, mu, s, l))
+    raw = [c for c in raw if c.mu < d]
+
+    by_mu = {}
+    for c in raw:
+        by_mu.setdefault(c.mu, []).append(c)
+    merged = []
+    for mu, group in by_mu.items():
+        group.sort(key=lambda c: (-(c.s if c.s is not None else -1), c.l or 0))
+        primary = group[0]
+        if len(group) > 1:
+            primary = Candidate(primary.case, primary.mu, primary.s, primary.l,
+                                tuple(group[1:]))
+        merged.append(primary)
+    merged.sort(key=lambda c: c.mu)
+    return tuple(merged)
 
 
 class TestCandidateSet:
@@ -99,6 +131,19 @@ class TestCandidateSet:
         a = candidate_set(4, 2, 3, True)
         assert isinstance(a, tuple)
         assert candidate_set(4, 2, 3, True) is a
+
+    @pytest.mark.parametrize("smooth", [None, True, False])
+    def test_equals_the_two_loop_enumeration(self, smooth):
+        for d in range(2, 13):
+            for p in (2, 3, 5, 7, 11, 13):
+                for s_cut in range(1, 8):
+                    assert candidate_set(d, p, s_cut, smooth) == \
+                        two_loop_candidate_set(d, p, s_cut, smooth), (d, p, s_cut)
+
+    def test_interpretations_put_the_primary_first(self):
+        c = next(c for c in candidate_set(4, 2, 3, smooth=True) if c.mu == F(49, 16))
+        assert c.interpretations == (c, *c.alternates)
+        assert [(i.s, i.l) for i in c.interpretations] == [(2, 4), (1, 2)]
 
 
 class TestEstimateMu:

@@ -128,6 +128,23 @@ class TestCompute:
         assert code == 2 and out == ""
         assert "corrupt cache" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [-5, 2 * 2**2 + 1], ids=["negative", "above-d-q2"])
+    def test_impossible_cache_colength_exits_2(self, capsys, tmp_path, value):
+        # x^2 + y*z has degree 2, so HK(2) <= 2 * 2^2 = 8
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text('{"field": "GF(2)", "poly": "x^2 + y*z", "q": 2, "colength": %d}\n' % value)
+        code, out, err = run(["compute", "--field", "GF(2)", "--poly", "x^2+y*z", "--nmax", "1",
+                              "--cache", str(cache)], capsys)
+        assert code == 2 and out == ""
+        assert f"corrupt cache {cache}" in err and "Traceback" not in err
+
+    def test_cache_colength_at_the_bound_is_read(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text('{"field": "GF(2)", "poly": "x^2 + y*z", "q": 2, "colength": 8}\n')
+        code, out, _ = run(["compute", "--field", "GF(2)", "--poly", "x^2+y*z", "--nmax", "1",
+                            "--cache", str(cache)], capsys)
+        assert code == 0 and out == "n,q,colength\n0,1,1\n1,2,8\n"
+
     def test_resource_guard_exits_3(self, capsys):
         code, _, err = run(
             ["compute", "--field", "GF(5)", "--poly", NODAL, "--nmax", "3",

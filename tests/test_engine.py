@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -491,6 +492,78 @@ class TestSmoothCheck:
         # the nodal cubic with its node moved to [1:2:1]
         f = parse_poly("(y-2*z)^2*z - (x-z)^3 - (x-z)^2*z", FieldSpec(p))
         assert smooth_check(PlaneCurve(f)) is False
+
+
+def full_field_monic_in_z(f):
+    """A reference copy of the point search that walks the whole field."""
+    from itertools import chain
+
+    from hkcurves.gf import embed
+    from hkcurves.poly import HomogeneousPoly, to_origin
+
+    g = f
+    if not f.coefficient((0, 0, f.d)):
+        spec = f.spec
+        points = chain(
+            [(1, 0, 0), (0, 1, 0)],
+            ((a, b, 1) for a in spec.elements() for b in spec.elements()),
+            ((a, 1, 0) for a in spec.elements()),
+        )
+        point = next((pt for pt in points if f.evaluate(pt)), None)
+        if point is None:
+            big = FieldSpec(spec.p, 2 * spec.k)
+            return full_field_monic_in_z(
+                HomogeneousPoly(big, {m: embed(c, big) for m, c in f.terms.items()}))
+        g = f.substitute(to_origin(spec, point))
+    return HomogeneousPoly.from_poly(g * g.coefficient((0, 0, f.d)).inverse())
+
+
+def forms_without_z_power():
+    """Seeded forms with no z^d term over small fields, alone and times x*y, and extremal ones."""
+    from hkcurves.poly import HomogeneousPoly
+
+    rng = random.Random(25)
+    forms = []
+    for spec in (FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(5), FieldSpec(7),
+                 FieldSpec(2, 3), FieldSpec(3, 2), FieldSpec(11)):
+        xy = parse_poly("x*y", spec)
+        for _ in range(12):
+            d = rng.randint(1, 5)
+            mons = [m for m in monomials_of_degree(d) if m[2] != d]
+            chosen = rng.sample(mons, rng.randint(1, min(len(mons), 6)))
+            f = HomogeneousPoly(spec, {m: spec.from_index(rng.randrange(1, spec.order))
+                                       for m in chosen})
+            forms += [f, HomogeneousPoly.from_poly(f * xy)]
+        # extremal, of degree m + 1 and through [1:0:0] and [0:1:0]: the rows
+        # a = e_0 .. e_(m-1), or the points b = e_0 .. e_(m-1) of the row a = e_1,
+        # lie on the curve, so the first point off it has a coordinate e_m
+        for m in range(1, min(spec.order, 5)):
+            for var, other in (("x", "y"), ("y", "x")):
+                f = Poly.variable(spec, other)
+                for i in range(m):
+                    f = f * (Poly.variable(spec, var) - Poly.variable(spec, "z") * spec.from_index(i))
+                forms.append(HomogeneousPoly.from_poly(f))
+    forms.append(parse_poly(ALL_POINTS_CUBIC, FieldSpec(2)))
+    return forms
+
+
+class TestPointSearch:
+    """_monic_in_z searches a (d+1) x (d+1) grid and finds the whole field's first point."""
+
+    @pytest.mark.parametrize("f", forms_without_z_power(),
+                             ids=lambda f: f"{f.spec}:{str(f).replace(' ', '')}")
+    def test_grid_finds_the_full_field_point(self, f):
+        assert engine._monic_in_z(f) == full_field_monic_in_z(f)
+
+    @pytest.mark.parametrize("field", ["GF(1000000007)", "GF(101^3)"])
+    def test_large_field_search_is_bounded(self, field):
+        from hkcurves.gf import parse_field
+
+        f = parse_poly("x*y", parse_field(field))
+        start = time.perf_counter()
+        g = engine._monic_in_z(f)
+        assert time.perf_counter() - start < 1.0
+        assert str(g) == "x*y + x*z + y*z + z^2"
 
 
 class TestSyzygyGuards:
