@@ -28,16 +28,25 @@ dimension
 and HK(q) = (sum j^2 - 3 sum (q+j)^2 + sum b^2) / 2.  With y = 1 the b are
 the shifted degrees of a reduced approximant basis of
 {(c, r) : M_q c = r mod x^q}, shift q+j on c_j and q+i on r_i
-(`linalg.order_basis_degrees`).  GF(p^k) runs the same GF(p)[x] path by
-restriction of scalars, which repeats every degree k times.  A form not
-monic in z moves a rational point off the curve to [0:0:1]
-(`poly.to_origin`), over GF(p^(2k)) if the curve holds every rational
-point: linear changes of coordinates keep (x^q, y^q, z^q), the Frobenius
-power of the maximal ideal, and field extension keeps dimensions.
+(`linalg.order_basis_degrees`).
 
-`colength` takes one of two routes per sample.  Over GF(p^k), k > 1, or
-when the middle (largest) block has more than DENSE_CELL_LIMIT cells, it
-returns the formula above from one syzygy_degrees(f, q) call.  Otherwise
+The working field is the form's field of definition: field extension
+keeps dimensions, so `syzygy_degrees` and `smooth_check` first rewrite f
+over GF(p^e), the smallest subfield of the typed GF(p^k) that holds every
+coefficient (`_over_field_of_definition`).  GF(p^e) then runs the same
+GF(p)[x] path by restriction of scalars, which repeats every degree e
+times; the cost of that basis grows about as e^3, so it is paid only for
+coefficients that generate a larger field.  A form not monic in z moves a
+rational point off the curve to [0:0:1] (`poly.to_origin`), over
+GF(p^(2e)) if the curve holds every rational point: linear changes of
+coordinates keep (x^q, y^q, z^q), the Frobenius power of the maximal
+ideal.  The syzygy route refuses, before it allocates, a sample whose
+series would not fit in memory (`_memory_budget`).
+
+`colength` takes one of two routes per sample.  Over a typed GF(p^k),
+k > 1, or when the middle (largest) block has more than DENSE_CELL_LIMIT
+cells, it returns the formula above from one syzygy_degrees(f, q) call;
+the route follows the typed field, not the working one.  Otherwise
 it ranks the blocks densely (`block_rank`).  Small prime-field samples
 stay dense because perfbench keeps each command's output until a run
 ends, so a faster path runs more passes and reads as more memory.
@@ -60,9 +69,14 @@ from functools import lru_cache
 from itertools import chain, islice
 from typing import Iterable
 
+try:
+    import resource
+except ImportError:  # not a POSIX host: no RLIMIT_AS to read
+    resource = None
+
 import numpy as np
 
-from .gf import FieldSpec, embed
+from .gf import FieldSpec, descend, embed, frobenius_orbit_degree
 from .linalg import _index_dtype, mul_matrix, order_basis_degrees, rank
 from .poly import HomogeneousPoly, Monomial, PlaneCurve, partial, to_origin
 
@@ -213,45 +227,93 @@ def _syzygy_series(g: HomogeneousPoly, q: int) -> np.ndarray:
         if c < d:
             coeff[a, c] = mul_matrix(value)
     used = [e for e in range(min(d + 1, q)) if coeff[e].any()]
-    # vec[e, i, :, l]: coordinates of the coefficient of x^e z^i in z^t * t^l
-    vec = np.zeros((q, d, k, k), dtype=np.int64)
-    vec[0, 0] = np.eye(k, dtype=np.int64)
+    stacked = coeff[used].reshape(len(used) * d * k, k)
+    # vec[i, :, e, l]: coordinates of the coefficient of x^e z^i in z^t * t^l
+    vec = np.zeros((d, k, q, k), dtype=np.int64)
+    vec[0, :, 0] = np.eye(k, dtype=np.int64)
     series = np.zeros((q, 2 * k * d, k * d), dtype=np.int64)
     for t in range(1, q + d):
-        top = vec[:, d - 1].copy()
-        vec[:, 1:] = vec[:, :-1].copy()
-        vec[:, 0] = 0
-        for e in used:  # z^d = -sum_i coeff_i(x) z^i
-            vec[e:] -= coeff[e][None] @ top[: q - e, None]
+        # every coeff_e(x) times the z^(d-1) coefficients, in one product
+        prod = (stacked @ vec[d - 1].reshape(k, q * k)).reshape(len(used), d, k, q, k)
+        vec[1:] = vec[:-1]
+        vec[0] = 0
+        for u, e in enumerate(used):  # z^d = -sum_i coeff_i(x) z^i
+            vec[:, :, e:] -= prod[u, :, :, : q - e]
         vec %= p
         if t >= q:
             j = t - q
-            series[:, j * k:(j + 1) * k] = vec.transpose(0, 3, 1, 2).reshape(q, k, d * k)
+            series[:, j * k:(j + 1) * k] = vec.transpose(2, 3, 0, 1).reshape(q, k, d * k)
     series[0, k * d:] = (p - 1) * np.eye(k * d, dtype=np.int64)
     return series
+
+
+@lru_cache(maxsize=1)
+def _over_field_of_definition(f: HomogeneousPoly) -> HomogeneousPoly:
+    """f rewritten over GF(p^e), the smallest subfield holding every coefficient.
+
+    e is the lcm of the coefficients' Frobenius orbit degrees, and each
+    coefficient is mapped down by `gf.descend`.  f itself when e = k.
+    Ranks, and so colengths, do not change under field extension.  Kept
+    for the last f, which `hk_sequence` passes once per sample.
+    """
+    spec = f.spec
+    if spec.k == 1:
+        return f
+    e = math.lcm(*(frobenius_orbit_degree(c) for c in f.terms.values()))
+    if e == spec.k:
+        return f
+    sub = FieldSpec(spec.p, e)
+    return HomogeneousPoly(sub, {m: descend(c, sub) for m, c in f.terms.items()})
+
+
+def _memory_budget() -> int:
+    """Bytes one computation may hold: the least of physical memory, the soft
+    RLIMIT_AS when one is set, and the largest np.intp."""
+    budget = int(np.iinfo(np.intp).max)
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        pages = size = -1
+    if pages > 0 and size > 0:  # -1 when the host does not say
+        budget = min(budget, pages * size)
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            budget = min(budget, soft)
+    return budget
 
 
 def syzygy_degrees(f: HomogeneousPoly, q: int) -> tuple[int, ...]:
     """Generator degrees b_1 <= ... <= b_2d of Syz_R(x^q, y^q, z^q) over k[x, y].
 
-    Read off one order basis over GF(p)[x]; see the module docstring.  The
-    int64 arithmetic is exact while (d+1) k (p-1)^2 + p < 2^63 (and
+    Read off one order basis over GF(p)[x]; see the module docstring.  f is
+    first rewritten over its field of definition GF(p^e)
+    (`_over_field_of_definition`), once, before the point search: the
+    degrees do not change under field extension, and the basis is about
+    (k/e)^3 times cheaper than over the typed GF(p^k).  A move to
+    GF(p^(2e)) by `_monic_in_z` is not undone.
+
+    The int64 arithmetic is exact while (d+1) e (p-1)^2 + p < 2^63 (and
     p^2 + p < 2^63, for `order_basis_degrees`): `_syzygy_series` subtracts
-    up to d+1 products of k terms below p from an entry below p before it
-    reduces mod p.  Past that bound, or when the (q, 2kd, kd) int64 series
-    would not fit in np.intp bytes, it raises ResourceLimitError before
-    building anything, the point search of `_monic_in_z` included.
+    up to d+1 products of e terms below p from an entry below p before it
+    reduces mod p.  The (q, 2ed, ed) int64 series and the residual copy of
+    `order_basis_degrees` take about 32 q (ed)^2 bytes.  Past the int64
+    bound, or when that exceeds `_memory_budget()`, it raises
+    ResourceLimitError before building anything, the point search included.
     """
     _validate_q(f.spec, q)
     if f.d == 0:
         raise EngineError("syzygy degrees need a form of positive degree")
+    f = _over_field_of_definition(f)
     p, k, d = f.spec.p, f.spec.k, f.d
     if max(p * p, (d + 1) * k * (p - 1) ** 2) + p >= 2**63:
         raise ResourceLimitError(f"the syzygy route's int64 arithmetic is not exact for p = {p}")
-    if q * 2 * (k * d) ** 2 * 8 > np.iinfo(np.intp).max:
-        raise ResourceLimitError(f"the syzygy series for q = {q} exceeds the address space")
+    need, budget = 32 * q * (k * d) ** 2, _memory_budget()
+    if need > budget:
+        raise ResourceLimitError(f"the syzygy route at q = {q} needs about {need} bytes, more "
+                                 f"than the {budget} bytes of memory and address space available")
     g = _monic_in_z(f)
-    k = g.spec.k  # 2k only when d > p^k: tiny fields, far inside the int64 bound
+    k = g.spec.k  # 2e only when d > p^e: tiny fields, far inside both bounds
     shifts = [q + i for i in range(d) for _ in range(k)] * 2
     degs = sorted(order_basis_degrees(_syzygy_series(g, q), shifts, p))
     b = degs[::k]
@@ -374,9 +436,12 @@ def smooth_check(curve: PlaneCurve) -> bool:
     curve has no singular points over any extension.  A full piece in one
     degree propagates upward, and N = 3d - 3 dominates the socle degree of
     a regular sequence of three forms of degree <= d, so a False answer is
-    definitive rather than a too-small-N artifact.
+    definitive rather than a too-small-N artifact.  A rank does not change
+    under field extension, so f is first rewritten over its field of
+    definition (`_over_field_of_definition`): over GF(p) no block is
+    restricted from GF(p^k) to k^2 times its size.
     """
-    f = curve.f
+    f = _over_field_of_definition(curve.f)
     big_n = 3 * f.d - 3
     gens = [f] + [g for g in (partial(f, v) for v in ("x", "y", "z")) if g is not None]
     # with q = N + 1 no exponent of degree N is truncated: each block maps onto all of S_N
@@ -414,6 +479,21 @@ def samples_to_json(samples: Iterable[HKSample]) -> str:
     return json.dumps(to_json(list(samples)), indent=2) + "\n"
 
 
+# path -> (the bytes of its complete lines parsed so far, their records, their count)
+_PARSED: dict[str, tuple[bytes, dict[tuple[str, str, int], int], int]] = {}
+
+
+def _parse_record(line: bytes, into: dict[tuple[str, str, int], int]) -> None:
+    """Add one cache line's record to `into`; ValueError, KeyError, TypeError
+    or RecursionError when the line is not a trusted record."""
+    if line.strip():
+        rec = json.loads(line)
+        field, poly, q, value = rec["field"], rec["poly"], rec["q"], rec["colength"]
+        if not (type(field) is type(poly) is str and type(q) is type(value) is int):
+            raise ValueError("field and poly must be strings, q and colength integers")
+        into[(field, poly, q)] = value
+
+
 class SampleCache:
     """Line-oriented JSON cache keyed by (field, canonical polynomial, q).
 
@@ -421,35 +501,44 @@ class SampleCache:
     and "colength" are JSON integers (not floats, booleans or digit
     strings).  Any other line is corrupt: an EngineError in the middle of
     the file, a dropped torn write as the last line.
+
+    A file is parsed once per process: the bytes of its complete lines and
+    their records are kept by path, and a later construction that reads a
+    file starting with those bytes parses only the lines after them.  A
+    file that was replaced, truncated or removed is parsed whole.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self._data: dict[tuple[str, str, int], int] = {}
         self._torn_at: int | None = None  # byte offset of a torn last line
         self._newline = False
+        self._data: dict[tuple[str, str, int], int] = {}
         if not os.path.exists(path):
+            _PARSED.pop(path, None)
             return
         with open(path, "rb") as fh:
-            lines = fh.read().split(b"\n")
-        offset = 0
-        for no, line in enumerate(lines, 1):
-            try:
-                if line.strip():
-                    rec = json.loads(line)
-                    field, poly, q, value = rec["field"], rec["poly"], rec["q"], rec["colength"]
-                    if not (type(field) is type(poly) is str and type(q) is type(value) is int):
-                        raise ValueError("field and poly must be strings, q and colength integers")
-                    self._data[(field, poly, q)] = value
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                if no < len(lines):
+            raw = fh.read()
+        prefix, known, seen = _PARSED.get(path, (b"", {}, 0))
+        if not raw.startswith(prefix):
+            prefix, known, seen = b"", {}, 0
+        *whole, tail = raw[len(prefix):].split(b"\n")
+        if whole:
+            known = dict(known)
+            for no, line in enumerate(whole, seen + 1):
+                try:
+                    _parse_record(line, known)
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
                     raise EngineError(f"corrupt cache {path}, line {no}: {exc}") from exc
-                # no newline after it: a write that was cut off
-                sys.stderr.write(f"warning: dropping the torn last line of cache {path}\n")
-                self._torn_at = offset
-            offset += len(line) + 1
+            _PARSED[path] = (raw[:len(raw) - len(tail)], known, seen + len(whole))
+        self._data = dict(known)
+        try:
+            _parse_record(tail, self._data)
+        except (ValueError, KeyError, TypeError, RecursionError):
+            # no newline after it: a write that was cut off
+            sys.stderr.write(f"warning: dropping the torn last line of cache {path}\n")
+            self._torn_at = len(raw) - len(tail)
         # a whole record that lost only its newline still needs one
-        self._newline = bool(lines[-1].strip()) and self._torn_at is None
+        self._newline = bool(tail.strip()) and self._torn_at is None
 
     @staticmethod
     def _key(f: HomogeneousPoly, q: int) -> tuple[str, str, int]:

@@ -13,7 +13,8 @@ Rabin's irreducibility test.  Polynomials over a field are lists of
 the monic `_poly_gcd`), used by the gcd step of that test over GF(p) and
 by equal-degree splitting.  `power` is the one square-and-multiply loop.
 An embedding GF(p^k) -> GF(p^K), k | K, sends t to a root of the modulus,
-found by Cantor-Zassenhaus splitting over the target field.
+found by Cantor-Zassenhaus splitting over the target field; `descend`
+inverts it on the image by one GF(p)-linear solve.
 
 Also hosts the Frobenius-orbit machinery used by the curve family
 constructors: orbit degrees, and the m(alpha) / d(lambda) invariants.
@@ -436,6 +437,41 @@ def embed(a: FieldElement, target: FieldSpec) -> FieldElement:
     for c in reversed(a.coeffs):
         acc = acc * root + target.element(c)
     return acc
+
+
+def descend(a: FieldElement, sub: FieldSpec) -> FieldElement:
+    """The element of `sub` that `embed` sends to `a`; FieldError if there is none.
+
+    With r the image of sub's generator, it solves a = sum_i c_i r^i over
+    GF(p) for the e = sub.k coefficients c_i; over the prime field (e = 1)
+    that is a.coeffs[0].  The answer is checked by embedding it back.
+    """
+    spec = a.spec
+    if sub == spec:
+        return a
+    if sub.p != spec.p or spec.k % sub.k:
+        raise FieldError(f"{sub} is not a subfield of {spec}")
+    p, e = spec.p, sub.k
+    if e == 1:
+        coeffs = a.coeffs[:1]
+    else:
+        # the k x (e+1) system [r^0 ... r^(e-1) | a], one row per coordinate
+        powers = [power(_embedding_root(sub, spec), i, spec.one()).coeffs for i in range(e)]
+        rows = [[col[j] for col in powers] + [a.coeffs[j]] for j in range(spec.k)]
+        for c in range(e):  # the powers of r are independent: column c pivots in row c
+            r = next(i for i in range(c, spec.k) if rows[i][c])
+            rows[c], rows[r] = rows[r], rows[c]
+            inv = pow(rows[c][c], p - 2, p)
+            rows[c] = [v * inv % p for v in rows[c]]
+            for i in range(spec.k):
+                fac = rows[i][c]
+                if i != c and fac:
+                    rows[i] = [(v - fac * w) % p for v, w in zip(rows[i], rows[c])]
+        coeffs = [rows[i][e] for i in range(e)]
+    b = FieldElement(sub, tuple(coeffs))
+    if embed(b, spec) != a:
+        raise FieldError(f"{a} does not lie in the subfield {sub} of {spec}")
+    return b
 
 
 # ---------------------------------------------------------------------------

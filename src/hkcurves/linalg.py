@@ -191,11 +191,12 @@ def order_basis_degrees(series: np.ndarray, shifts: Sequence[int], p: int) -> li
     constant is eliminated on Python ints (rows by increasing degree, ties
     by index, each against the earlier pivots), and each elimination is
     applied to that row's tail only, res[i, s:] -= fac * res[r, s:],
-    reduced mod p at once.  A pivot row is therefore reduced before it
-    serves, every operand is below p, and the int64 arithmetic is exact
-    while p^2 + p < 2^63.
+    reduced mod p at once (over GF(2), where fac = 1, res[i, s:] ^= res[r, s:]).
+    A pivot row is therefore reduced before it serves, every operand is
+    below p, and the int64 arithmetic is exact while p^2 + p < 2^63.
     """
-    res = np.ascontiguousarray(np.asarray(series, dtype=np.int64).transpose(1, 0, 2) % p)
+    res = np.array(np.asarray(series).transpose(1, 0, 2), dtype=np.int64, order="C")
+    res %= p  # in place: the series and this one copy are the peak
     m, order, _ = res.shape
     deg = list(shifts)
     for s in range(order):
@@ -210,8 +211,11 @@ def order_basis_degrees(series: np.ndarray, shifts: Sequence[int], p: int) -> li
                 if fac:
                     row = [(a - fac * b) % p for a, b in zip(row, const[r])]
                     tail = res[i, s:]
-                    tail -= fac * res[r, s:]
-                    tail %= p
+                    if p == 2:  # fac = 1, and 0/1 entries subtract by xor
+                        tail ^= res[r, s:]
+                    else:
+                        tail -= fac * res[r, s:]
+                        tail %= p
             const[i] = row
             lead = next(filter(None, row), 0)
             if lead:  # the first nonzero entry is the first one equal to it

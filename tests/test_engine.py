@@ -638,3 +638,98 @@ class TestEmissionAndCache:
         hk_sequence(f2, 1, cache=cache)
         f4 = parse_poly("x*y", gf4)
         assert cache.get(f4, 2) is None
+
+
+class TestCacheParsedOnce:
+    """A cache file is parsed once per process; a changed file is parsed again."""
+
+    RECORD = '{"field": "GF(2)", "poly": "x^2 + y*z", "q": %d, "colength": %d}\n'
+
+    @staticmethod
+    def counting_loads(monkeypatch):
+        parsed = []
+        loads = json.loads
+
+        def spy(line, *args, **kwargs):
+            parsed.append(line)
+            return loads(line, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", spy)
+        return parsed
+
+    def test_appended_lines_are_the_only_ones_parsed(self, tmp_path, monkeypatch):
+        f = parse_poly("x^2+y*z", FieldSpec(2))
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self.RECORD % (1, 1) + self.RECORD % (2, 6))
+        parsed = self.counting_loads(monkeypatch)
+        assert SampleCache(str(path)).get(f, 2) == 6
+        assert len(parsed) == 2
+        with open(path, "a") as fh:
+            fh.write(self.RECORD % (4, 28))
+        cache = SampleCache(str(path))
+        assert len(parsed) == 3
+        assert [cache.get(f, q) for q in (1, 2, 4)] == [1, 6, 28]
+        SampleCache(str(path))
+        assert len(parsed) == 3
+
+    def test_replaced_file_is_parsed_whole(self, tmp_path):
+        f = parse_poly("x^2+y*z", FieldSpec(2))
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self.RECORD % (2, 6) + self.RECORD % (4, 28))
+        assert SampleCache(str(path)).get(f, 2) == 6
+        # the same size, a different value in the first record
+        path.write_text(self.RECORD % (2, 7) + self.RECORD % (4, 28))
+        cache = SampleCache(str(path))
+        assert (cache.get(f, 2), cache.get(f, 4)) == (7, 28)
+        path.unlink()
+        assert SampleCache(str(path)).get(f, 2) is None
+        path.write_text(self.RECORD % (2, 5))
+        assert SampleCache(str(path)).get(f, 2) == 5
+
+    def test_shrunk_file_forgets_its_lost_records(self, tmp_path):
+        f = parse_poly("x^2+y*z", FieldSpec(2))
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self.RECORD % (2, 6) + self.RECORD % (4, 28))
+        assert SampleCache(str(path)).get(f, 4) == 28
+        path.write_text(self.RECORD % (2, 6))
+        cache = SampleCache(str(path))
+        assert (cache.get(f, 2), cache.get(f, 4)) == (6, None)
+
+    def test_torn_tail_is_dropped_at_every_construction(self, tmp_path, capsys):
+        f = parse_poly("x^2+y*z", FieldSpec(2))
+        path = tmp_path / "cache.jsonl"
+        whole = self.RECORD % (2, 6)
+        torn = (self.RECORD % (4, 28))[:30]
+        path.write_text(whole + torn)
+        for _ in range(2):
+            cache = SampleCache(str(path))
+            assert (cache.get(f, 2), cache.get(f, 4)) == (6, None)
+            assert "torn last line" in capsys.readouterr().err
+        cache.put(f, HKSample(2, 4, 28))  # cuts the torn line before it appends
+        assert path.read_text() == whole + self.RECORD.replace('"q"', '"n": 2, "q"') % (4, 28)
+        cache = SampleCache(str(path))
+        assert cache.get(f, 4) == 28 and capsys.readouterr().err == ""
+
+    def test_record_missing_only_its_newline_is_read_each_time(self, tmp_path):
+        f = parse_poly("x^2+y*z", FieldSpec(2))
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self.RECORD % (2, 6) + (self.RECORD % (4, 28)).rstrip("\n"))
+        for _ in range(2):
+            assert SampleCache(str(path)).get(f, 4) == 28
+        cache = SampleCache(str(path))
+        cache.put(f, HKSample(3, 8, 120))
+        assert path.read_text().splitlines()[1:] == [
+            (self.RECORD % (4, 28)).rstrip("\n"),
+            '{"field": "GF(2)", "poly": "x^2 + y*z", "n": 3, "q": 8, "colength": 120}',
+        ]
+
+    def test_corrupt_appended_line_names_its_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self.RECORD % (2, 6) + self.RECORD % (4, 28))
+        SampleCache(str(path))
+        with open(path, "a") as fh:
+            fh.write("{not json\n" + self.RECORD % (8, 120))
+        with pytest.raises(EngineError, match="line 3"):
+            SampleCache(str(path))
+        with pytest.raises(EngineError, match="line 3"):  # still corrupt the next time
+            SampleCache(str(path))
